@@ -217,6 +217,14 @@ def link_points_batch(chain: KinematicChain, qs: np.ndarray) -> np.ndarray:
     return points
 
 
+def _frames_jacobian(origins, axes, tool_pos) -> np.ndarray:
+    """Geometric Jacobian from the frames `_fk_frames` returns."""
+    jac = np.empty((6, axes.shape[0]))
+    jac[:3] = np.cross(axes, tool_pos - origins).T
+    jac[3:] = axes.T
+    return jac
+
+
 def jacobian(chain: KinematicChain, q) -> np.ndarray:
     """Geometric Jacobian (6 x N): linear velocity rows then angular rows.
 
@@ -225,11 +233,7 @@ def jacobian(chain: KinematicChain, q) -> np.ndarray:
     """
     q = chain.check_q(q)
     origins, axes, tool_pos, _ = _fk_frames(chain, q)
-    jac = np.empty((6, chain.n_joints))
-    for i in range(chain.n_joints):
-        jac[:3, i] = np.cross(axes[i], tool_pos - origins[i])
-        jac[3:, i] = axes[i]
-    return jac
+    return _frames_jacobian(origins, axes, tool_pos)
 
 
 @dataclass(frozen=True)
@@ -303,10 +307,7 @@ def inverse_kinematics(chain: KinematicChain, target: Pose, seed_q,
 
     def residual(qv: np.ndarray):
         origins, axes, tool_pos, tool_rot = _fk_frames(chain, qv)
-        jac_full = np.empty((6, chain.n_joints))
-        for i in range(chain.n_joints):
-            jac_full[:3, i] = np.cross(axes[i], tool_pos - origins[i])
-            jac_full[3:, i] = axes[i]
+        jac_full = _frames_jacobian(origins, axes, tool_pos)
         err_pos = target_pos - tool_pos
         if track_orientation:
             err_rot = _approach_error(tool_rot, chain, target_axis)

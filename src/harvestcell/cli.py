@@ -5,8 +5,10 @@ deterministic given the config and seed: reruns produce byte-identical
 files. Files are only written after the whole run has succeeded, so an
 invalid configuration never leaves partial output behind.
 
-Exit codes: 0 ok, 1 config/IO error, 2 infeasible endpoints,
-3 no feasible plan (best-effort trajectory still written), 4 no ripe target.
+Exit codes: 0 ok, 1 config/IO/argument error (including non-finite joint
+values), 2 infeasible endpoints (a start or goal that collides or lies
+outside the joint limits), 3 no feasible plan (best-effort trajectory still
+written), 4 no ripe target.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ def _parse_joint_vector(raw: str, n: int, name: str) -> np.ndarray:
         raise ValueError(f"--{name} must be comma-separated numbers") from exc
     if len(values) != n:
         raise ValueError(f"--{name} needs {n} joint values, got {len(values)}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"--{name} joint values must be finite")
     return np.array(values)
 
 

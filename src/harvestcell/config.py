@@ -47,6 +47,21 @@ def _vec(raw, name, size=3) -> np.ndarray:
     return arr
 
 
+def _required(raw: dict, key: str, path: str):
+    if key not in raw:
+        raise ConfigError(f"'{path}.{key}' is required")
+    return raw[key]
+
+
+def _unit(raw, name) -> np.ndarray:
+    """A 3-vector scaled to unit norm; zero and non-finite vectors are rejected."""
+    vec = _vec(raw, name)
+    norm = np.linalg.norm(vec)
+    if not 0.0 < norm < np.inf:
+        raise ConfigError(f"'{name}' must be a nonzero finite 3-vector")
+    return vec / norm
+
+
 def _transform(raw, name) -> RigidTransform:
     if raw is None:
         return RigidTransform()
@@ -81,20 +96,15 @@ def _parse_arm(raw: dict) -> KinematicChain:
         raise ConfigError("arm section needs a non-empty 'joints' list")
     joints = []
     for i, joint_raw in enumerate(raw["joints"]):
-        _check_keys(f"arm.joints[{i}]", joint_raw, {"axis", "offset", "limits"})
-        axis = _vec(joint_raw["axis"], f"arm.joints[{i}].axis")
-        norm = np.linalg.norm(axis)
-        if norm == 0.0:
-            raise ConfigError(f"arm.joints[{i}].axis must be nonzero")
-        limits = joint_raw["limits"]
+        path = f"arm.joints[{i}]"
+        _check_keys(path, joint_raw, {"axis", "offset", "limits"})
+        limits = _vec(_required(joint_raw, "limits", path), f"{path}.limits", 2)
         joints.append(Joint(
-            axis=axis / norm,
-            offset=_vec(joint_raw["offset"], f"arm.joints[{i}].offset"),
+            axis=_unit(_required(joint_raw, "axis", path), f"{path}.axis"),
+            offset=_vec(_required(joint_raw, "offset", path), f"{path}.offset"),
             limits=(float(limits[0]), float(limits[1])),
         ))
-    approach = raw.get("approach_axis", [1.0, 0.0, 0.0])
-    approach = _vec(approach, "arm.approach_axis")
-    approach = approach / np.linalg.norm(approach)
+    approach = _unit(raw.get("approach_axis", [1.0, 0.0, 0.0]), "arm.approach_axis")
     home_q = None
     if "home_q" in raw:
         home_q = np.asarray(raw["home_q"], dtype=float)
@@ -130,16 +140,19 @@ def _parse_scene(raw: dict) -> Scene:
     _check_keys("scene", raw, allowed)
     spheres = []
     for i, s in enumerate(raw.get("spheres") or []):
-        _check_keys(f"scene.spheres[{i}]", s, {"center", "radius", "tag"})
-        spheres.append(Sphere(center=_vec(s["center"], f"scene.spheres[{i}].center"),
-                              radius=float(s["radius"]),
-                              tag=s.get("tag", "other")))
+        path = f"scene.spheres[{i}]"
+        _check_keys(path, s, {"center", "radius", "tag"})
+        spheres.append(Sphere(
+            center=_vec(_required(s, "center", path), f"{path}.center"),
+            radius=float(_required(s, "radius", path)),
+            tag=s.get("tag", "other")))
     capsules = []
     for i, c in enumerate(raw.get("capsules") or []):
-        _check_keys(f"scene.capsules[{i}]", c, {"p0", "p1", "radius", "tag"})
-        capsules.append(Capsule(p0=_vec(c["p0"], f"scene.capsules[{i}].p0"),
-                                p1=_vec(c["p1"], f"scene.capsules[{i}].p1"),
-                                radius=float(c["radius"]),
+        path = f"scene.capsules[{i}]"
+        _check_keys(path, c, {"p0", "p1", "radius", "tag"})
+        capsules.append(Capsule(p0=_vec(_required(c, "p0", path), f"{path}.p0"),
+                                p1=_vec(_required(c, "p1", path), f"{path}.p1"),
+                                radius=float(_required(c, "radius", path)),
                                 tag=c.get("tag", "branch")))
     bounds = raw.get("workspace_bounds")
     if bounds is not None:

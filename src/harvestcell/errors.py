@@ -70,7 +70,8 @@ class NoConvergence(HarvestCellError):
 # --- planner -----------------------------------------------------------
 
 class InfeasibleEndpoints(HarvestCellError):
-    """Start or goal configuration itself collides; planning refused."""
+    """Start or goal configuration is not finite, violates the joint limits or
+    collides; planning refused."""
 
 
 class NoFeasibleFound(HarvestCellError):

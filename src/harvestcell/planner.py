@@ -5,10 +5,20 @@ start and goal configurations. The fitness combines joint-space path length
 with penalties for collision (arm body approximated by segments between
 consecutive joint origins plus the tool point) and joint-limit violation.
 Given a seed the whole optimization is deterministic.
+
+One kernel, `_clearance`, answers every collision query: the signed
+clearance of each configuration in a batch, exact wherever it is below a
+`cutoff` and otherwise only known to be at least `cutoff`, because a
+bounding-ball broad phase skipped the exact distances. `collision_check`
+passes cutoff=inf, so its answer is exact; scoring passes its collision
+threshold. One scorer, `_score`, interpolates and scores batches of
+polylines for the swarm, `fitness` and `recheck_feasible`, and the scene is
+compiled once per public call by `_scene_arrays`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,96 +151,52 @@ class CollisionResult:
 
 
 def _scene_arrays(scene: Scene):
-    """Obstacle parameters stacked for broadcast evaluation."""
-    sphere_centers = np.array([s.center for s in scene.spheres], dtype=float) \
-        if scene.spheres else None
-    sphere_radii = np.array([s.radius for s in scene.spheres], dtype=float) \
-        if scene.spheres else None
-    capsule_p0 = np.array([c.p0 for c in scene.capsules], dtype=float) \
-        if scene.capsules else None
-    capsule_p1 = np.array([c.p1 for c in scene.capsules], dtype=float) \
-        if scene.capsules else None
-    capsule_radii = np.array([c.radius for c in scene.capsules], dtype=float) \
-        if scene.capsules else None
-    return sphere_centers, sphere_radii, capsule_p0, capsule_p1, capsule_radii
-
-
-def _scene_bounding_sphere(scene: Scene) -> tuple[np.ndarray, float]:
-    """Center and radius of a ball containing every obstacle surface."""
-    anchors = [np.asarray(s.center, dtype=float) for s in scene.spheres]
-    anchors += [np.asarray(c.p0, dtype=float) for c in scene.capsules]
-    anchors += [np.asarray(c.p1, dtype=float) for c in scene.capsules]
-    center = np.mean(anchors, axis=0)
-    radius = 0.0
-    for sphere in scene.spheres:
-        radius = max(radius, float(np.linalg.norm(
-            np.asarray(sphere.center, dtype=float) - center)) + sphere.radius)
-    for capsule in scene.capsules:
-        for end in (capsule.p0, capsule.p1):
-            radius = max(radius, float(np.linalg.norm(
-                np.asarray(end, dtype=float) - center)) + capsule.radius)
-    return center, radius
-
-
-def _colliding_rows(chain: KinematicChain, qs: np.ndarray, scene: Scene,
-                    clearance: float) -> np.ndarray:
-    """Boolean per configuration: any link segment within `clearance` of an obstacle.
-
-    A conservative broad phase against the scene's bounding sphere prunes
-    segments that provably clear every obstacle; only survivors get the
-    exact narrow-phase distances.
-    """
-    batch = qs.shape[0]
+    """(sphere centers, radii, capsule p0, p1, radii, ball center, ball
+    radius) stacked for broadcast evaluation, with None for an absent kind
+    and a ball containing every obstacle surface; None for an empty scene."""
     if not scene.spheres and not scene.capsules:
-        return np.zeros(batch, dtype=bool)
-    centers, radii, cap_p0, cap_p1, cap_radii = _scene_arrays(scene)
-    cloud_center, cloud_radius = _scene_bounding_sphere(scene)
+        return None
+    columns = ([s.center for s in scene.spheres], [s.radius for s in scene.spheres],
+               [c.p0 for c in scene.capsules], [c.p1 for c in scene.capsules],
+               [c.radius for c in scene.capsules])
+    arrays = tuple(np.array(v, dtype=float) if v else None for v in columns)
+    ball_center = np.mean(columns[0] + columns[2] + columns[3], axis=0)
+    surfaces = [(s.center, s.radius) for s in scene.spheres]
+    surfaces += [(end, c.radius) for c in scene.capsules for end in (c.p0, c.p1)]
+    ball_radius = max(
+        float(np.linalg.norm(np.asarray(point, dtype=float) - ball_center)) + radius
+        for point, radius in surfaces)
+    return arrays + (ball_center, ball_radius)
+
+
+def _clearance(chain: KinematicChain, qs: np.ndarray, arrays,
+               cutoff: float) -> np.ndarray:
+    """Signed clearance per configuration of a (B, N) batch: exact below
+    `cutoff`, at least `cutoff` elsewhere; NO_OBSTACLE_CLEARANCE without
+    obstacles. A link segment gets the exact distances only when its lower
+    bound, the distance to the scene's bounding ball, is below `cutoff`."""
+    if arrays is None:
+        return np.full(qs.shape[0], NO_OBSTACLE_CLEARANCE)
+    centers, radii, cap_p0, cap_p1, cap_radii, ball_center, ball_radius = arrays
     pts = link_points_batch(chain, qs)          # (B, P, 3)
     seg_a = pts[:, :-1, :]
     seg_b = pts[:, 1:, :]
-    coarse = segment_point_distance(seg_a, seg_b, cloud_center)
-    cand_rows, cand_segs = np.nonzero(coarse - cloud_radius < clearance)
-    out = np.zeros(batch, dtype=bool)
-    if cand_rows.size == 0:
-        return out
-    sub_a = seg_a[cand_rows, cand_segs][:, None, :]   # (K, 1, 3)
-    sub_b = seg_b[cand_rows, cand_segs][:, None, :]
-    best = np.full(cand_rows.shape[0], np.inf)
+    clear = segment_point_distance(seg_a, seg_b, ball_center) - ball_radius
+    survivors = np.flatnonzero(clear < cutoff)
+    rows, segs = np.divmod(survivors, clear.shape[1])
+    sub_a = seg_a[rows, segs][:, None, :]       # (K, 1, 3)
+    sub_b = seg_b[rows, segs][:, None, :]
+    exact = np.full(rows.shape[0], np.inf)
     if centers is not None:
         dist = segment_point_distance(sub_a, sub_b, centers[None]) - radii
-        best = np.minimum(best, dist.min(axis=1))
+        exact = np.minimum(exact, dist.min(axis=1))
     if cap_p0 is not None:
         dist = segment_segment_distance(
             sub_a, sub_b, cap_p0[None], cap_p1[None]) - cap_radii
-        best = np.minimum(best, dist.min(axis=1))
-    out[cand_rows[best < clearance]] = True
-    return out
-
-
-def _min_clearance_batch(chain: KinematicChain, qs: np.ndarray,
-                         scene: Scene) -> np.ndarray:
-    """Smallest signed clearance (distance minus obstacle radius) per configuration.
-
-    qs is (B, N); returns (B,). With no obstacles every entry is the
-    NO_OBSTACLE_CLEARANCE sentinel. All obstacles of one kind are evaluated
-    in a single broadcast call.
-    """
-    batch = qs.shape[0]
-    if not scene.spheres and not scene.capsules:
-        return np.full(batch, NO_OBSTACLE_CLEARANCE)
-    centers, radii, cap_p0, cap_p1, cap_radii = _scene_arrays(scene)
-    pts = link_points_batch(chain, qs)          # (B, P, 3)
-    seg_a = pts[:, :-1, None, :]                # (B, S, 1, 3)
-    seg_b = pts[:, 1:, None, :]
-    best = np.full(batch, np.inf)
-    if centers is not None:
-        dist = segment_point_distance(seg_a, seg_b, centers[None, None]) - radii
-        best = np.minimum(best, dist.min(axis=(1, 2)))
-    if cap_p0 is not None:
-        dist = segment_segment_distance(
-            seg_a, seg_b, cap_p0[None, None], cap_p1[None, None]) - cap_radii
-        best = np.minimum(best, dist.min(axis=(1, 2)))
-    return best
+        exact = np.minimum(exact, dist.min(axis=1))
+    clear.reshape(-1)[survivors] = exact
+    # column by column: min(axis=1) over these short rows is ~10x slower
+    return functools.reduce(np.minimum, clear.T)
 
 
 def collision_check(chain: KinematicChain, q, scene: Scene,
@@ -242,60 +208,31 @@ def collision_check(chain: KinematicChain, q, scene: Scene,
     obstacle surface. min_clearance is signed (negative = penetration).
     """
     q = chain.check_q(q)
-    clear = float(_min_clearance_batch(chain, q[None, :], scene)[0])
+    clear = float(_clearance(chain, q[None, :], _scene_arrays(scene), np.inf)[0])
     return CollisionResult(colliding=bool(clear < clearance), min_clearance=clear)
 
 
-def _interp_samples(waypoints: np.ndarray) -> np.ndarray:
-    """Interpolated configurations along the polyline, SAMPLES_PER_SEGMENT per segment.
-
-    Each segment contributes samples at t = 1/S ... S/S = 1, so waypoints
-    themselves are covered once and the fixed start is excluded (its
-    validity is the planner's precondition).
-    """
-    fractions = (np.arange(SAMPLES_PER_SEGMENT) + 1.0) / SAMPLES_PER_SEGMENT
-    starts = waypoints[:-1]                     # (S, N)
-    deltas = waypoints[1:] - waypoints[:-1]
-    samples = starts[:, None, :] + fractions[None, :, None] * deltas[:, None, :]
-    return samples.reshape(-1, waypoints.shape[1])
-
-
-def _fitness_batch(flat: np.ndarray, start: np.ndarray, goal: np.ndarray,
-                   chain: KinematicChain, scene: Scene,
-                   config: PsoConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and colliding-sample counts for a (B, W*N) batch of particles."""
-    batch = flat.shape[0]
-    n = chain.n_joints
-    w = config.waypoints_per_particle
-    inner = flat.reshape(batch, w, n)
-    full = np.concatenate([
-        np.broadcast_to(start, (batch, 1, n)),
-        inner,
-        np.broadcast_to(goal, (batch, 1, n)),
-    ], axis=1)                                  # (B, W+2, N)
-
-    deltas = np.diff(full, axis=1)
+def _score(paths: np.ndarray, chain: KinematicChain, arrays, config: PsoConfig,
+           clearance: float, samples_per_segment: int = SAMPLES_PER_SEGMENT):
+    """Per-polyline (score, path length, collision term, limit term,
+    colliding samples) of a (B, W, N) batch. Each segment is sampled at
+    t = 1/S ... S/S with S = samples_per_segment, so waypoints count once and
+    the first row not at all (its validity is the planner's precondition)."""
+    batch = paths.shape[0]
+    deltas = np.diff(paths, axis=1)
     path_len = np.linalg.norm(deltas, axis=2).sum(axis=1)
-
     lo, hi = chain.limit_arrays()
-    limit_violation = (np.maximum(full - hi, 0.0)
-                       + np.maximum(lo - full, 0.0)).sum(axis=(1, 2))
-
-    counts = np.zeros(batch, dtype=int)
-    if scene.spheres or scene.capsules:
-        segs = full.shape[1] - 1
-        fractions = (np.arange(SAMPLES_PER_SEGMENT) + 1.0) / SAMPLES_PER_SEGMENT
-        samples = (full[:, :-1, None, :]
-                   + fractions[None, None, :, None] * deltas[:, :, None, :])
-        samples = samples.reshape(batch * segs * SAMPLES_PER_SEGMENT, n)
-        colliding = _colliding_rows(chain, samples, scene,
-                                    config.clearance + config.penalty_margin)
-        counts = colliding.reshape(batch, segs * SAMPLES_PER_SEGMENT).sum(axis=1)
-
-    scores = (path_len
-              + config.collision_penalty * counts
-              + config.limit_penalty * limit_violation)
-    return scores, counts
+    limit_violation = (np.maximum(paths - hi, 0.0)
+                       + np.maximum(lo - paths, 0.0)).sum(axis=(1, 2))
+    fractions = (np.arange(samples_per_segment) + 1.0) / samples_per_segment
+    samples = (paths[:, :-1, None, :]
+               + fractions[None, None, :, None] * deltas[:, :, None, :])
+    clear = _clearance(chain, samples.reshape(-1, paths.shape[2]), arrays, clearance)
+    counts = (clear < clearance).reshape(batch, -1).sum(axis=1)
+    collision_term = config.collision_penalty * counts
+    limit_term = config.limit_penalty * limit_violation
+    return path_len + collision_term + limit_term, path_len, collision_term, \
+        limit_term, counts
 
 
 def fitness(candidate: Trajectory | np.ndarray, chain: KinematicChain,
@@ -313,25 +250,19 @@ def fitness(candidate: Trajectory | np.ndarray, chain: KinematicChain,
         )
     if waypoints.shape[0] < 2:
         raise DimensionMismatch("trajectory needs at least start and goal rows")
+    return _breakdown(waypoints, chain, _scene_arrays(scene), config)
 
-    deltas = np.diff(waypoints, axis=0)
-    path_len = float(np.linalg.norm(deltas, axis=1).sum())
-    lo, hi = chain.limit_arrays()
-    limit_violation = float((np.maximum(waypoints - hi, 0.0)
-                             + np.maximum(lo - waypoints, 0.0)).sum())
-    counts = 0
-    if scene.spheres or scene.capsules:
-        samples = _interp_samples(waypoints)
-        counts = int(_colliding_rows(chain, samples, scene,
-                                     config.clearance).sum())
-    collision_term = config.collision_penalty * counts
-    limit_term = config.limit_penalty * limit_violation
+
+def _breakdown(waypoints: np.ndarray, chain: KinematicChain, arrays,
+               config: PsoConfig) -> FitnessBreakdown:
+    score, path_len, collision_term, limit_term, counts = _score(
+        waypoints[None], chain, arrays, config, config.clearance)
     return FitnessBreakdown(
-        score=path_len + collision_term + limit_term,
-        path_length=path_len,
-        collision_penalty=collision_term,
-        limit_penalty=limit_term,
-        colliding_samples=counts,
+        score=float(score[0]),
+        path_length=float(path_len[0]),
+        collision_penalty=float(collision_term[0]),
+        limit_penalty=float(limit_term[0]),
+        colliding_samples=int(counts[0]),
     )
 
 
@@ -339,15 +270,9 @@ def recheck_feasible(trajectory: Trajectory, chain: KinematicChain, scene: Scene
                      config: PsoConfig, resolution_factor: int = 4) -> bool:
     """Re-validate a trajectory at a finer interpolation resolution."""
     waypoints = np.asarray(trajectory.waypoints, dtype=float)
-    if not scene.spheres and not scene.capsules:
-        return True
-    n_samples = SAMPLES_PER_SEGMENT * resolution_factor
-    fractions = (np.arange(n_samples) + 1.0) / n_samples
-    deltas = np.diff(waypoints, axis=0)
-    samples = (waypoints[:-1, None, :] + fractions[None, :, None] * deltas[:, None, :])
-    samples = samples.reshape(-1, waypoints.shape[1])
-    return not bool(_colliding_rows(chain, samples, scene,
-                                    config.clearance).any())
+    counts = _score(waypoints[None], chain, _scene_arrays(scene), config,
+                    config.clearance, SAMPLES_PER_SEGMENT * resolution_factor)[-1]
+    return not bool(counts[0])
 
 
 def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
@@ -359,21 +284,38 @@ def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
     uniform draws made in particle order, and positions are clamped to the
     joint limits, so results are reproducible bit-for-bit for a given seed.
 
-    Raises InfeasibleEndpoints if start or goal already collides, and
+    Raises InfeasibleEndpoints, before any swarm work, if start or goal is
+    not finite, lies outside the joint limits or collides; and
     NoFeasibleFound (carrying the best trajectory) if the best particle
     still has colliding samples after the final iteration.
     """
     start = chain.check_q(start)
     goal = chain.check_q(goal)
-    if collision_check(chain, start, scene, config.clearance).colliding:
-        raise InfeasibleEndpoints("start configuration collides with the scene")
-    if collision_check(chain, goal, scene, config.clearance).colliding:
-        raise InfeasibleEndpoints("goal configuration collides with the scene")
+    lo, hi = chain.limit_arrays()
+    for name, q in (("start", start), ("goal", goal)):
+        if not np.all((lo <= q) & (q <= hi)):  # also false for NaN
+            raise InfeasibleEndpoints(
+                f"{name} configuration {q.tolist()} is not finite or outside "
+                f"the joint limits")
+    arrays = _scene_arrays(scene)
+    endpoint_clear = _clearance(chain, np.vstack([start, goal]), arrays, np.inf)
+    for name, clear in zip(("start", "goal"), endpoint_clear):
+        if clear < config.clearance:
+            raise InfeasibleEndpoints(f"{name} configuration collides with the scene")
 
     n = chain.n_joints
     w = config.waypoints_per_particle
     dims = w * n
-    lo, hi = chain.limit_arrays()
+    margin = config.clearance + config.penalty_margin
+
+    def swarm_scores(flat: np.ndarray) -> np.ndarray:
+        batch = flat.shape[0]
+        paths = np.concatenate([
+            np.broadcast_to(start, (batch, 1, n)),
+            flat.reshape(batch, w, n),
+            np.broadcast_to(goal, (batch, 1, n)),
+        ], axis=1)                              # (B, W+2, N)
+        return _score(paths, chain, arrays, config, margin)[0]
 
     # sampling box: per-joint span of {start, goal} inflated by 20%, clipped to limits
     box_lo = np.minimum(start, goal)
@@ -389,7 +331,7 @@ def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
     positions[0] = line.reshape(-1)
     velocities = np.zeros_like(positions)
 
-    scores, _ = _fitness_batch(positions, start, goal, chain, scene, config)
+    scores = swarm_scores(positions)
     pbest_pos = positions.copy()
     pbest_score = scores.copy()
     gbest_idx = int(np.argmin(scores))
@@ -405,7 +347,7 @@ def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
                       + config.social * r2 * (gbest_pos[None, :] - positions))
         positions = np.clip(positions + velocities,
                             np.tile(lo, w), np.tile(hi, w))
-        scores, _ = _fitness_batch(positions, start, goal, chain, scene, config)
+        scores = swarm_scores(positions)
         improved = scores < pbest_score
         pbest_pos[improved] = positions[improved]
         pbest_score[improved] = scores[improved]
@@ -416,7 +358,7 @@ def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
         trace.append(gbest_score)
 
     waypoints = np.vstack([start, gbest_pos.reshape(w, n), goal])
-    breakdown = fitness(waypoints, chain, scene, config)
+    breakdown = _breakdown(waypoints, chain, arrays, config)
     feasible = breakdown.colliding_samples == 0 and breakdown.limit_penalty == 0.0
     result = Trajectory(
         waypoints=waypoints,

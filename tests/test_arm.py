@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from harvestcell.arm import (IkOptions, Joint, KinematicChain, Pose,
-                             RigidTransform, forward_kinematics,
+                             RigidTransform, _fk_frames, forward_kinematics,
                              inverse_kinematics, jacobian, link_points,
                              link_points_batch, matrix_to_quat, quat_to_matrix,
                              rotation_about_axis, solve_ik_point,
@@ -96,6 +96,21 @@ def test_jacobian_linear_part_matches_finite_difference(run_config):
             p_minus = forward_kinematics(chain, q - dq).position
             fd = (p_plus - p_minus) / (2 * h)
             assert np.allclose(jac[:3, i], fd, atol=1e-6)
+
+
+def test_jacobian_equals_per_joint_loop(run_config):
+    # reference: column i built on its own as (z_i x (p_tool - p_i), z_i)
+    chain = run_config.arm
+    rng = np.random.default_rng(6)
+    lo, hi = chain.limit_arrays()
+    for _ in range(10):
+        q = rng.uniform(lo, hi)
+        origins, axes, tool_pos, _ = _fk_frames(chain, q)
+        ref = np.empty((6, chain.n_joints))
+        for i in range(chain.n_joints):
+            ref[:3, i] = np.cross(axes[i], tool_pos - origins[i])
+            ref[3:, i] = axes[i]
+        assert np.array_equal(jacobian(chain, q), ref)
 
 
 def test_jacobian_rank_deficient_at_colinear_posture():

@@ -104,7 +104,13 @@ def test_plan_roundtrip_and_determinism(tmp_path, fast_config_path):
     assert all(a >= b for a, b in zip(trace, trace[1:]))
 
 
-def test_plan_goal_inside_obstacle(tmp_path, fast_config_path):
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("harvestcell: ")
+    assert "Traceback" not in err
+
+
+def test_plan_goal_inside_obstacle(tmp_path, fast_config_path, capsys):
     out = tmp_path / "traj.json"
     # the shipped scene has a tomato sphere at (0.45, 0, 0.40); command the
     # tool straight into it
@@ -113,6 +119,22 @@ def test_plan_goal_inside_obstacle(tmp_path, fast_config_path):
                      "--goal", "0.0,0.7713,-0.4858,-1.8563,0.0"])
     assert code == 2
     assert not out.exists()
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("goal, expected", [
+    pytest.param("0,0,0,3.0,0", 2, id="outside-limits"),
+    pytest.param("nan,0,0,0,0", 1, id="nan"),
+    pytest.param("0,inf,0,0,0", 1, id="inf"),
+])
+def test_plan_bad_goal_fails_fast(tmp_path, fast_config_path, capsys,
+                                  goal, expected):
+    out = tmp_path / "traj.json"
+    code = cli.main(["--quiet", "--config", fast_config_path,
+                     "--out", str(out), "plan", "--goal", goal])
+    assert code == expected
+    assert not out.exists()
+    _assert_one_line_error(capsys)
 
 
 def test_pick_stats_success(tmp_path, detection_fixture):

@@ -9,8 +9,8 @@ from harvestcell.errors import (ConfigError, DimensionMismatch,
                                 InfeasibleEndpoints, NoFeasibleFound)
 from harvestcell.geometry import segment_point_distance
 from harvestcell.planner import (Aabb, Capsule, PsoConfig, Scene, Sphere,
-                                 collision_check, fitness, plan_trajectory,
-                                 recheck_feasible)
+                                 _clearance, _scene_arrays, collision_check,
+                                 fitness, plan_trajectory, recheck_feasible)
 
 BOUNDS = Aabb(np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
 EMPTY = Scene(workspace_bounds=BOUNDS)
@@ -79,6 +79,34 @@ def test_collision_min_clearance_matches_sampling_oracle(chain):
                 best = min(best, float(d))
         assert got == pytest.approx(best, abs=1e-3)
         assert got <= best + 1e-12
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.015])
+def test_broad_phase_flags_exactly_the_close_configurations(chain, threshold):
+    # obstacles clustered in front of the arm, so the bounding-ball broad
+    # phase prunes part of the segments; configurations cover the limits
+    rng = np.random.default_rng(11)
+    lo, hi = chain.limit_arrays()
+    box = (np.array([0.1, -0.3, 0.1]), np.array([0.5, 0.3, 0.5]))
+    pruned = 0
+    for trial in range(5):
+        spheres = tuple(Sphere(center=rng.uniform(*box),
+                               radius=float(rng.uniform(0.04, 0.1)))
+                        for _ in range(4))
+        capsules = tuple(Capsule(p0=rng.uniform(*box), p1=rng.uniform(*box),
+                                 radius=float(rng.uniform(0.01, 0.04)))
+                         for _ in range(2))
+        scene = Scene(spheres=spheres, capsules=capsules, workspace_bounds=BOUNDS)
+        qs = rng.uniform(lo, hi, size=(200, chain.n_joints))
+        got = _clearance(chain, qs, _scene_arrays(scene), threshold)
+        exact = np.array([collision_check(chain, q, scene).min_clearance for q in qs])
+        close = exact < threshold
+        assert 0 < close.sum() < len(qs)
+        assert np.array_equal(got < threshold, close)
+        assert np.array_equal(got[close], exact[close])
+        assert np.all(got[~close] <= exact[~close])
+        pruned += int(np.sum(got[~close] < exact[~close]))
+    assert pruned > 0, "broad phase never pruned; the test would be vacuous"
 
 
 def _straight_trajectory(start, goal, n_inner=1):
@@ -158,6 +186,18 @@ def test_plan_goal_inside_obstacle(chain):
                   workspace_bounds=BOUNDS)
     with pytest.raises(InfeasibleEndpoints):
         plan_trajectory(chain, chain.home_q, chain.home_q + 0.3, scene, FAST_PSO)
+
+
+@pytest.mark.parametrize("which", ["start", "goal"])
+@pytest.mark.parametrize("bad", [
+    pytest.param(np.array([0.0, 0.0, 0.0, 3.0, 0.0]), id="outside-limits"),
+    pytest.param(np.array([np.nan, 0.0, 0.0, 0.0, 0.0]), id="nan"),
+    pytest.param(np.array([0.0, np.inf, 0.0, 0.0, 0.0]), id="inf"),
+])
+def test_plan_rejects_endpoint_outside_limits(chain, which, bad):
+    ends = {"start": chain.home_q, "goal": chain.home_q + 0.3, which: bad}
+    with pytest.raises(InfeasibleEndpoints, match=which):
+        plan_trajectory(chain, ends["start"], ends["goal"], EMPTY, FAST_PSO)
 
 
 def test_plan_deterministic(chain, run_config):
