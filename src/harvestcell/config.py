@@ -41,7 +41,10 @@ def _check_keys(section: str, raw: dict, allowed: set[str]) -> None:
 
 
 def _vec(raw, name, size=3) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{name}' must be a {size}-vector of numbers") from exc
     if arr.shape != (size,):
         raise ConfigError(f"'{name}' must be a {size}-vector")
     return arr

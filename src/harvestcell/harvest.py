@@ -6,10 +6,12 @@ the pedicel falls inside the spherical cut zone around the cutter keypoint
 after the gripper pose is perturbed by seeded isotropic Gaussian noise.
 Stage durations are truncated-Gaussian draws around configurable means.
 
-Everything is deterministic given a trial seed: per-trial randomness is
-split into independent duration and pose-noise streams so changing the
-noise level never shifts the duration draws (common-random-numbers
-calibration relies on this).
+Trials run as one array batch. Its seed spawns a duration stream and a
+pose-noise stream; trial i is row i of a (trials, 6) duration block and of
+a (trials, 3) noise block, and `run_pick_cycle` is a batch of one. The
+noise block never depends on sigma, so the success count is monotone in
+sigma whenever the systematic cut offset lies inside the cut zone, and
+`calibrate_noise` reads the calibrated sigma off one order statistic.
 """
 
 from __future__ import annotations
@@ -76,16 +78,16 @@ class PickCycleConfig:
                 raise ConfigError(f"stage mean for '{stage}' must be > 0")
         if not 0.0 <= self.stage_time_stddev_frac < 1.0:
             raise ConfigError("stage_time_stddev_frac must lie in [0, 1)")
-        if self.pose_noise_sigma < 0.0:
-            raise ConfigError("pose_noise_sigma must be >= 0")
+        if not 0.0 <= self.pose_noise_sigma < math.inf:
+            raise ConfigError("pose_noise_sigma must be finite and >= 0")
         if not self.cut_zone_radius > 0.0:
             raise ConfigError("cut_zone_radius must be > 0")
         if not self.cut_trigger_distance > 0.0:
             raise ConfigError("cut_trigger_distance must be > 0")
         if not self.insertion_depth > 0.0:
             raise ConfigError("insertion_depth must be > 0")
-        if self.grasp_force < 0.0:
-            raise ConfigError("grasp_force must be >= 0")
+        if not 0.0 <= self.grasp_force < math.inf:
+            raise ConfigError("grasp_force must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,8 @@ def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
     Computes the pre-grasp and grasp IK solutions, the approach and depart
     trajectories and the nominal cut-zone center. Failures are recorded as
     (failure_stage, failure_outcome) rather than raised, so Monte Carlo
-    trials can account them as cycle outcomes.
+    trials can account them as cycle outcomes; a depart failure keeps the
+    cut center, because the cut runs before depart.
     """
     if chain.home_q is None:
         raise ConfigError("chain has no home_q; harvest cycles need one")
@@ -176,6 +179,7 @@ def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
     except NoConvergence:
         return CyclePlans(q_pregrasp=q_pregrasp, q_grasp=q_grasp,
                           approach_trajectory=approach,
+                          nominal_cut_center=nominal_cut_center,
                           failure_stage="depart",
                           failure_outcome="fail_unreachable")
     try:
@@ -184,6 +188,7 @@ def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
     except (InfeasibleEndpoints, NoFeasibleFound):
         return CyclePlans(q_pregrasp=q_pregrasp, q_grasp=q_grasp,
                           q_punnet=q_punnet, approach_trajectory=approach,
+                          nominal_cut_center=nominal_cut_center,
                           failure_stage="depart", failure_outcome="fail_no_plan")
 
     return CyclePlans(q_pregrasp=q_pregrasp, q_grasp=q_grasp, q_punnet=q_punnet,
@@ -191,14 +196,25 @@ def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
                       nominal_cut_center=nominal_cut_center)
 
 
-def _sample_duration(rng: np.random.Generator, mean: float, frac: float) -> float:
-    """Truncated-at-zero Gaussian duration (resample on a non-positive draw)."""
-    if frac == 0.0:
-        return mean
-    while True:
-        value = mean + frac * mean * rng.standard_normal()
-        if value > 0.0:
-            return value
+def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The (duration, pose-noise) generators of one batch seed."""
+    time_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(time_ss), np.random.default_rng(noise_ss)
+
+
+def _durations(rng: np.random.Generator, cycle_config: PickCycleConfig,
+               trials: int) -> np.ndarray:
+    """(trials, 6) truncated-at-zero Gaussian stage durations, columns in
+    STAGES order; non-positive draws are redrawn in row-major order."""
+    means = np.array([cycle_config.stage_time_means[s] for s in STAGES])
+    frac = cycle_config.stage_time_stddev_frac
+    durations = means + frac * means * rng.standard_normal((trials, len(STAGES)))
+    redraw = durations <= 0.0
+    while redraw.any():
+        mean = np.broadcast_to(means, durations.shape)[redraw]
+        durations[redraw] = mean + frac * mean * rng.standard_normal(mean.size)
+        redraw = durations <= 0.0
+    return durations
 
 
 def run_pick_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
@@ -206,85 +222,19 @@ def run_pick_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
                    trial_seed: int,
                    mechanism_params: MechanismParams | None = None,
                    plans: CyclePlans | None = None) -> PickCycleReport:
-    """Simulate one pick cycle; fully deterministic given trial_seed.
-
-    Stage order is fixed. Planning failures map to fail_no_plan /
-    fail_unreachable outcomes; a pedicel outside the displaced cut zone
-    gives fail_cut_missed with the miss distance recorded. Timings are
-    reported only for stages that actually executed.
-    """
-    if plans is None:
-        plans = plan_cycle(target, chain, scene, planner_config, cycle_config)
-    if mechanism_params is None:
-        mechanism_params = MechanismParams()
-
-    seed_seq = np.random.SeedSequence(trial_seed)
-    time_ss, noise_ss = seed_seq.spawn(2)
-    rng_time = np.random.default_rng(time_ss)
-    rng_noise = np.random.default_rng(noise_ss)
-
-    timings: dict[str, float] = {}
-    frac = cycle_config.stage_time_stddev_frac
-
-    def finish(outcome, miss=None, torque=None):
-        total = 0.0
-        for stage in STAGES:
-            if stage in timings:
-                total += timings[stage]
-        return PickCycleReport(
-            stage_timings=dict(timings),
-            total_time=total,
-            outcome=outcome,
-            pedicel_miss_distance=miss,
-            trajectory_used=plans.approach_trajectory,
-            holding_torque_total=torque,
-        )
-
-    def run_stage(stage):
-        timings[stage] = _sample_duration(
-            rng_time, cycle_config.stage_time_means[stage], frac)
-
-    # APPROACH
-    if plans.failure_stage == "approach":
-        return finish(plans.failure_outcome)
-    run_stage("approach")
-
-    # SEPARATE
-    if plans.failure_stage == "separate":
-        return finish(plans.failure_outcome)
-    run_stage("separate")
-
-    # CUT: displace the commanded cut-zone center by seeded Gaussian noise
-    run_stage("cut")
-    noise = cycle_config.pose_noise_sigma * rng_noise.standard_normal(3)
-    achieved_center = np.asarray(plans.nominal_cut_center, dtype=float) + noise
-    miss = float(np.linalg.norm(
-        np.asarray(target.pedicel_3d, dtype=float) - achieved_center))
-    if miss > cycle_config.cut_zone_radius:
-        return finish("fail_cut_missed", miss=miss)
-
-    # GRASP: record the commanded holding torque from the gripper model
-    torque = mechanism.torque_single_finger(
-        mechanism_params, cycle_config.grasp_theta_deg,
-        cycle_config.grasp_force).torque_total
-    run_stage("grasp")
-
-    # DEPART
-    if plans.failure_stage == "depart":
-        return finish(plans.failure_outcome, miss=miss, torque=torque)
-    run_stage("depart")
-
-    # RELEASE
-    run_stage("release")
-    return finish("success", miss=miss, torque=torque)
+    """Simulate one pick cycle: the report of a one-trial `monte_carlo`
+    batch seeded with trial_seed, so it is fully deterministic given it."""
+    _, reports = monte_carlo(target, chain, scene, planner_config,
+                             replace(cycle_config, seed=trial_seed), 1,
+                             mechanism_params, plans, collect_reports=True)
+    return reports[0]
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    if not values:
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    if not values.size:
         return 0.0, 0.0
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    mean = float(values.mean())
+    std = float(values.std(ddof=1)) if values.size > 1 else 0.0
     return mean, std
 
 
@@ -294,91 +244,139 @@ def monte_carlo(target: TargetTomato, chain: KinematicChain, scene: Scene,
                 mechanism_params: MechanismParams | None = None,
                 plans: CyclePlans | None = None,
                 collect_reports: bool = False):
-    """Aggregate statistics over seeded trials (trial_seed = seed + index).
+    """Simulate `trials` pick cycles at once from the batch seed
+    cycle_config.seed.
 
     Planning is deterministic per target, so it runs once and is shared by
-    all trials. Returns a MonteCarloSummary, or (summary, reports) when
+    all trials. The seed spawns a duration stream, drawn as one (trials, 6)
+    block in STAGES order, and a pose-noise stream, drawn as one (trials, 3)
+    block of standard normals scaled by pose_noise_sigma. Neither block
+    depends on sigma or on the other, so changing the noise level keeps
+    every draw (common random numbers). Trial i is row i of both blocks.
+
+    A planning failure at approach or separate ends every trial there. A
+    trial whose pedicel lies outside the displaced cut zone ends as
+    fail_cut_missed; otherwise it grasps, records the holding torque and
+    then fails at depart or succeeds. Timings and total_time cover executed
+    stages only. Returns a MonteCarloSummary, or (summary, reports) when
     collect_reports is set. Time statistics cover successful trials only.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if plans is None:
         plans = plan_cycle(target, chain, scene, planner_config, cycle_config)
+    time_rng, noise_rng = _streams(cycle_config.seed)
+    noise = noise_rng.standard_normal((trials, 3))
+    durations = _durations(time_rng, cycle_config, trials)
 
+    # executed stages are a prefix of STAGES: failed_at of them after a cut
+    # inside the zone, up to and including the cut after a miss
+    failed_at = (STAGES.index(plans.failure_stage) if plans.failure_stage
+                 else len(STAGES))
+    cut = STAGES.index("cut")
+    hit = np.zeros(trials, dtype=bool)
+    miss = None
+    if failed_at > cut:
+        achieved = (np.asarray(plans.nominal_cut_center, dtype=float)
+                    + cycle_config.pose_noise_sigma * noise)
+        miss = np.linalg.norm(
+            np.asarray(target.pedicel_3d, dtype=float) - achieved, axis=1)
+        hit = miss <= cycle_config.cut_zone_radius
+    hit_outcome = plans.failure_outcome or "success"
+    miss_outcome = plans.failure_outcome if miss is None else "fail_cut_missed"
+    executed = np.where(hit, failed_at, min(failed_at, cut + 1))
+    timings = np.where(np.arange(len(STAGES)) < executed[:, None], durations, 0.0)
+    total = timings.cumsum(axis=1)[:, -1]  # stage by stage, in STAGES order
+    torque = None
+    if hit.any():
+        torque = mechanism.torque_single_finger(
+            mechanism_params if mechanism_params is not None else MechanismParams(),
+            cycle_config.grasp_theta_deg, cycle_config.grasp_force).torque_total
+
+    hits = int(hit.sum())
     counts = {outcome: 0 for outcome in OUTCOMES}
-    totals: list[float] = []
-    stage_values: dict[str, list[float]] = {stage: [] for stage in STAGES}
-    reports: list[PickCycleReport] = []
-    for i in range(trials):
-        report = run_pick_cycle(target, chain, scene, planner_config,
-                                cycle_config, cycle_config.seed + i,
-                                mechanism_params, plans)
-        counts[report.outcome] += 1
-        if report.outcome == "success":
-            totals.append(report.total_time)
-            for stage in STAGES:
-                stage_values[stage].append(report.stage_timings[stage])
-        if collect_reports:
-            reports.append(report)
-
-    total_mean, total_std = _mean_std(totals)
-    stage_mean = {}
-    stage_std = {}
-    for stage in STAGES:
-        stage_mean[stage], stage_std[stage] = _mean_std(stage_values[stage])
+    counts[hit_outcome] += hits
+    counts[miss_outcome] += trials - hits
+    success = hit & (hit_outcome == "success")
+    total_mean, total_std = _mean_std(total[success])
+    stage_stats = {s: _mean_std(durations[success, k]) for k, s in enumerate(STAGES)}
     summary = MonteCarloSummary(
         trials=trials,
         success_rate=counts["success"] / trials,
         outcome_counts=counts,
         total_time_mean=total_mean,
         total_time_std=total_std,
-        stage_time_mean=stage_mean,
-        stage_time_std=stage_std,
+        stage_time_mean={s: mean for s, (mean, _) in stage_stats.items()},
+        stage_time_std={s: std for s, (_, std) in stage_stats.items()},
     )
-    if collect_reports:
-        return summary, reports
-    return summary
+    if not collect_reports:
+        return summary
+    misses = miss.tolist() if miss is not None else [None] * trials
+    reports = [
+        PickCycleReport(
+            stage_timings=dict(zip(STAGES[:n], row)),
+            total_time=t,
+            outcome=hit_outcome if h else miss_outcome,
+            pedicel_miss_distance=m,
+            trajectory_used=plans.approach_trajectory,
+            holding_torque_total=torque if h else None,
+        )
+        for n, row, t, m, h in zip(executed.tolist(), durations.tolist(),
+                                   total.tolist(), misses, hit.tolist())]
+    return summary, reports
 
 
 def calibrate_noise(target: TargetTomato, chain: KinematicChain, scene: Scene,
                     planner_config: PsoConfig, cycle_config: PickCycleConfig,
                     target_rate: float, trials_per_eval: int = 500,
                     tolerance: float = 0.02) -> float:
-    """Bisect the pose-noise sigma to reach a requested success rate.
+    """The pose-noise sigma at which `monte_carlo` with cycle_config.seed and
+    trials_per_eval trials succeeds at target_rate, to within
+    1 / trials_per_eval.
 
-    Every evaluation reuses the same trial seeds (common random numbers),
-    making the empirical rate monotone non-increasing in sigma, so plain
-    bisection on [0, 5 * cut_zone_radius] applies. Raises CalibrationFailed
-    when the bracket endpoints do not straddle the target rate.
+    With d = pedicel - nominal cut center and R = cut_zone_radius, trial i
+    hits when |d - sigma z_i| <= R for its noise row z_i. If |d| <= R that
+    holds exactly for sigma <= s_i, the non-negative root of
+    |d - s_i z_i| = R, so the success count falls monotonically in sigma
+    and the answer is the midpoint between two neighbouring order
+    statistics of s. Raises CalibrationFailed when the plans fail, when
+    |d| > R (success is then not monotone in sigma), when no count out of
+    trials_per_eval lies within tolerance of target_rate, or when the sigma
+    needed exceeds 5 * R.
     """
     if not 0.0 < target_rate < 1.0:
         raise ConfigError("target_rate must lie strictly between 0 and 1")
+    if trials_per_eval < 1:
+        raise ConfigError("trials_per_eval must be >= 1")
     plans = plan_cycle(target, chain, scene, planner_config, cycle_config)
-
-    def rate_at(sigma: float) -> float:
-        cfg = replace(cycle_config, pose_noise_sigma=sigma)
-        summary = monte_carlo(target, chain, scene, planner_config, cfg,
-                              trials_per_eval, plans=plans)
-        return summary.success_rate
-
-    sigma_max = 5.0 * cycle_config.cut_zone_radius
-    rate_lo = rate_at(0.0)
-    rate_hi = rate_at(sigma_max)
-    if rate_lo < target_rate or rate_hi > target_rate:
+    if plans.failure_stage is not None:
         raise CalibrationFailed(
-            f"bracket rates [{rate_hi:.3f}, {rate_lo:.3f}] do not straddle "
-            f"target {target_rate:.3f}"
-        )
+            f"cycle fails at {plans.failure_stage} at every sigma")
+    radius = cycle_config.cut_zone_radius
+    offset = np.asarray(target.pedicel_3d, dtype=float) - plans.nominal_cut_center
+    c = offset @ offset - radius * radius
+    if not c <= 0.0:
+        raise CalibrationFailed(
+            f"systematic cut offset {np.linalg.norm(offset):.4g} m exceeds the "
+            f"cut zone radius {radius:.4g} m")
+    successes = round(target_rate * trials_per_eval)
+    if abs(successes / trials_per_eval - target_rate) > tolerance:
+        raise CalibrationFailed(
+            f"{trials_per_eval} trials cannot resolve target {target_rate:.3f} "
+            f"within {tolerance}")
 
-    lo, hi = 0.0, sigma_max
-    mid = 0.5 * (lo + hi)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        rate = rate_at(mid)
-        if abs(rate - target_rate) <= tolerance:
-            return mid
-        if rate > target_rate:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    _, noise_rng = _streams(cycle_config.seed)
+    z = noise_rng.standard_normal((trials_per_eval, 3))
+    # s^2 |z|^2 - 2 s (z . d) + c = 0 with c = |d|^2 - R^2 <= 0
+    zd = z @ offset
+    zz = np.einsum("ij,ij->i", z, z)
+    roots = np.sort((zd + np.sqrt(zd * zd - zz * c)) / zz)
+    # exactly `successes` roots lie at or above any sigma in (lower, upper]
+    bounds = np.concatenate(([0.0], roots, [np.inf]))
+    lower = bounds[trials_per_eval - successes]
+    upper = min(bounds[trials_per_eval - successes + 1], 5.0 * radius)
+    if not lower < upper:
+        raise CalibrationFailed(
+            f"target {target_rate:.3f} needs sigma above {lower:.4g} m, beyond "
+            f"5 x cut_zone_radius")
+    return float(0.5 * (lower + upper))

@@ -205,11 +205,12 @@ def collision_check(chain: KinematicChain, q, scene: Scene,
 
     The arm body is the polyline of consecutive joint origins plus the tool
     point; colliding means some link segment comes within `clearance` of an
-    obstacle surface. min_clearance is signed (negative = penetration).
+    obstacle surface, or the clearance is NaN (a NaN configuration).
+    min_clearance is signed (negative = penetration).
     """
     q = chain.check_q(q)
     clear = float(_clearance(chain, q[None, :], _scene_arrays(scene), np.inf)[0])
-    return CollisionResult(colliding=bool(clear < clearance), min_clearance=clear)
+    return CollisionResult(colliding=not clear >= clearance, min_clearance=clear)
 
 
 def _score(paths: np.ndarray, chain: KinematicChain, arrays, config: PsoConfig,
@@ -228,7 +229,7 @@ def _score(paths: np.ndarray, chain: KinematicChain, arrays, config: PsoConfig,
     samples = (paths[:, :-1, None, :]
                + fractions[None, None, :, None] * deltas[:, :, None, :])
     clear = _clearance(chain, samples.reshape(-1, paths.shape[2]), arrays, clearance)
-    counts = (clear < clearance).reshape(batch, -1).sum(axis=1)
+    counts = (~(clear >= clearance)).reshape(batch, -1).sum(axis=1)  # NaN collides
     collision_term = config.collision_penalty * counts
     limit_term = config.limit_penalty * limit_violation
     return path_len + collision_term + limit_term, path_len, collision_term, \

@@ -29,11 +29,17 @@ def _zero_approach_axis(raw):
     raw["arm"]["approach_axis"] = [0, 0, 0]
 
 
+def _non_numeric_offset(raw):
+    raw["arm"]["joints"][0]["offset"] = ["a", 0, 0]
+
+
 @pytest.mark.parametrize("mutate, key_path", [
     pytest.param(_drop_limits, "arm.joints[1].limits", id="no-limits"),
     pytest.param(_one_element_limits, "arm.joints[2].limits", id="short-limits"),
     pytest.param(_drop_sphere_radius, "scene.spheres[0].radius", id="no-radius"),
     pytest.param(_zero_approach_axis, "arm.approach_axis", id="zero-approach"),
+    pytest.param(_non_numeric_offset, "arm.joints[0].offset",
+                 id="non-numeric-offset"),
 ])
 def test_malformed_config_names_key_path(shipped_raw, mutate, key_path):
     raw = copy.deepcopy(shipped_raw)
@@ -42,3 +48,16 @@ def test_malformed_config_names_key_path(shipped_raw, mutate, key_path):
     with pytest.raises(ConfigError) as exc_info:
         parse_config(raw)
     assert key_path in str(exc_info.value)
+
+
+@pytest.mark.parametrize("line", [
+    "pose_noise_sigma: .nan",
+    "pose_noise_sigma: .inf",
+    "grasp_force: .nan",
+])
+def test_non_finite_pick_cycle_value_rejected(shipped_raw, line):
+    raw = copy.deepcopy(shipped_raw)
+    raw["pick_cycle"].update(yaml.safe_load(line))
+    key = line.split(":")[0]
+    with pytest.raises(ConfigError, match=key):
+        parse_config(raw)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import harvestcell.harvest as harvest
+import harvestcell.mechanism as mechanism
 from harvestcell.errors import CalibrationFailed, ConfigError
 from harvestcell.harvest import (STAGES, MonteCarloSummary, PickCycleConfig,
                                  TOTAL_CYCLE_SECONDS, calibrate_noise,
@@ -233,3 +235,176 @@ def test_unreachable_target_counts_as_unreachable(run_config):
     assert summary.outcome_counts["fail_unreachable"] == 5
     assert summary.success_rate == 0.0
     assert summary.total_time_mean == 0.0
+
+
+def _report_fields(report):
+    return (report.stage_timings, report.total_time, report.outcome,
+            report.pedicel_miss_distance, report.holding_torque_total)
+
+
+@pytest.mark.parametrize("seed", [0, 1234, 2**40 + 7])
+def test_run_pick_cycle_is_a_batch_of_one(run_config, harvest_target,
+                                          harvest_plans, seed):
+    cfg = replace(run_config.pick_cycle, pose_noise_sigma=0.006)
+    report = run_pick_cycle(harvest_target, run_config.arm, run_config.scene,
+                            run_config.pso, cfg, seed, run_config.mechanism,
+                            harvest_plans)
+    _, rows = monte_carlo(harvest_target, run_config.arm, run_config.scene,
+                          run_config.pso, replace(cfg, seed=seed), 1,
+                          run_config.mechanism, harvest_plans,
+                          collect_reports=True)
+    assert _report_fields(report) == _report_fields(rows[0])
+    assert report.trajectory_used is harvest_plans.approach_trajectory
+
+
+def _reference_cycle(plans, target, cfg, durations, noise):
+    """The per-trial state machine that the batch kernel replaced, fed one
+    row of the duration block and one row of the noise block."""
+    timings = {}
+
+    def run(stage):
+        timings[stage] = durations[STAGES.index(stage)]
+
+    if plans.failure_stage == "approach":
+        return timings, plans.failure_outcome, None
+    run("approach")
+    if plans.failure_stage == "separate":
+        return timings, plans.failure_outcome, None
+    run("separate")
+    run("cut")
+    achieved = plans.nominal_cut_center + cfg.pose_noise_sigma * noise
+    miss = float(np.linalg.norm(target.pedicel_3d - achieved))
+    if miss > cfg.cut_zone_radius:
+        return timings, "fail_cut_missed", miss
+    run("grasp")
+    if plans.failure_stage == "depart":
+        return timings, plans.failure_outcome, miss
+    run("depart")
+    run("release")
+    return timings, "success", miss
+
+
+@pytest.mark.parametrize("failure_stage, failure_outcome", [
+    (None, None),
+    ("approach", "fail_unreachable"),
+    ("separate", "fail_unreachable"),
+    ("depart", "fail_no_plan"),
+])
+def test_batch_matches_per_trial_state_machine(run_config, harvest_target,
+                                               harvest_plans, failure_stage,
+                                               failure_outcome):
+    plans = replace(harvest_plans, failure_stage=failure_stage,
+                    failure_outcome=failure_outcome)
+    cfg = replace(run_config.pick_cycle, pose_noise_sigma=0.006, seed=77)
+    trials = 300
+    summary, reports = monte_carlo(harvest_target, run_config.arm,
+                                   run_config.scene, run_config.pso, cfg,
+                                   trials, run_config.mechanism, plans,
+                                   collect_reports=True)
+    # the stream contract: one (trials, 6) duration block, one (trials, 3)
+    # noise block, spawned from the batch seed
+    time_ss, noise_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    means = np.array([cfg.stage_time_means[s] for s in STAGES])
+    frac = cfg.stage_time_stddev_frac
+    durations = means + frac * means * np.random.default_rng(
+        time_ss).standard_normal((trials, len(STAGES)))
+    assert np.all(durations > 0.0)  # no redraws at this spread
+    noise = np.random.default_rng(noise_ss).standard_normal((trials, 3))
+
+    counts = {}
+    for report, row, z in zip(reports, durations, noise):
+        timings, outcome, miss = _reference_cycle(plans, harvest_target, cfg,
+                                                  row, z)
+        assert report.stage_timings == timings
+        assert report.outcome == outcome
+        if miss is None:
+            assert report.pedicel_miss_distance is None
+        else:
+            assert report.pedicel_miss_distance == pytest.approx(
+                miss, rel=1e-14, abs=1e-18)
+        assert (report.holding_torque_total is not None) == ("grasp" in timings)
+        total = 0.0
+        for stage in STAGES:
+            total += timings.get(stage, 0.0)
+        assert report.total_time == total
+        counts[outcome] = counts.get(outcome, 0) + 1
+    assert {k: v for k, v in summary.outcome_counts.items() if v} == counts
+    if failure_stage is None:
+        assert 0 < counts["success"] < trials
+    elif failure_stage == "depart":
+        assert 0 < counts["fail_no_plan"] < trials
+    else:
+        assert counts == {failure_outcome: trials}
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("sigma, failure_stage, expected_calls", [
+    (0.0046, None, 1),
+    (0.0, None, 1),
+    (0.0046, "approach", 0),
+])
+def test_monte_carlo_computes_torque_at_most_once(
+        monkeypatch, run_config, harvest_target, harvest_plans, sigma,
+        failure_stage, expected_calls):
+    plans = replace(harvest_plans, failure_stage=failure_stage,
+                    failure_outcome=failure_stage and "fail_unreachable")
+    calls = _counting(monkeypatch, mechanism, "torque_single_finger")
+    cfg = replace(run_config.pick_cycle, pose_noise_sigma=sigma)
+    _, reports = monte_carlo(harvest_target, run_config.arm, run_config.scene,
+                             run_config.pso, cfg, 500, run_config.mechanism,
+                             plans, collect_reports=True)
+    assert len(calls) == expected_calls
+    torques = {r.holding_torque_total for r in reports} - {None}
+    assert len(torques) == expected_calls
+
+
+@pytest.mark.parametrize("offset, rate, trials", [
+    (0.0, 0.80, 1000),
+    (0.0, 0.35, 777),
+    (0.004, 0.80, 500),
+    (0.009, 0.20, 1000),
+])
+def test_calibrated_sigma_reproduces_order_statistic_count(
+        monkeypatch, run_config, harvest_target, harvest_plans, offset, rate,
+        trials):
+    # plans for the shipped target, with the pedicel moved along the
+    # approach axis: a systematic cut offset of `offset` metres
+    axis = harvest_target.pedicel_3d - harvest_target.center_3d
+    target = replace(harvest_target, pedicel_3d=harvest_target.pedicel_3d
+                     + offset * axis / np.linalg.norm(axis))
+    monkeypatch.setattr(harvest, "plan_cycle", lambda *args: harvest_plans)
+    mc_calls = _counting(monkeypatch, harvest, "monte_carlo")
+    cfg = replace(run_config.pick_cycle, seed=4242)
+    sigma = calibrate_noise(target, run_config.arm, run_config.scene,
+                            run_config.pso, cfg, rate, trials_per_eval=trials)
+    assert mc_calls == []
+    summary = monte_carlo(target, run_config.arm, run_config.scene,
+                          run_config.pso, replace(cfg, pose_noise_sigma=sigma),
+                          trials, run_config.mechanism, harvest_plans)
+    assert summary.outcome_counts["success"] == round(rate * trials)
+
+
+def test_calibrate_noise_rejects_offset_outside_cut_zone(monkeypatch,
+                                                         run_config,
+                                                         harvest_target,
+                                                         harvest_plans):
+    # |d| > R: the success rate is no longer monotone in sigma
+    radius = run_config.pick_cycle.cut_zone_radius
+    axis = harvest_target.pedicel_3d - harvest_target.center_3d
+    target = replace(harvest_target, pedicel_3d=harvest_target.pedicel_3d
+                     + 1.2 * radius * axis / np.linalg.norm(axis))
+    monkeypatch.setattr(harvest, "plan_cycle", lambda *args: harvest_plans)
+    with pytest.raises(CalibrationFailed, match="offset"):
+        calibrate_noise(target, run_config.arm, run_config.scene,
+                        run_config.pso, run_config.pick_cycle, 0.05)

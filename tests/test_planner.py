@@ -155,6 +155,18 @@ def test_fitness_counts_colliding_samples(chain, run_config):
     assert result.collision_penalty == FAST_PSO.collision_penalty * count
 
 
+def test_nan_configuration_collides(chain, run_config):
+    scene = run_config.scene
+    q = np.array([np.nan, 0.0, 0.0, 0.0, 0.0])
+    result = collision_check(chain, q, scene, FAST_PSO.clearance)
+    assert result.colliding
+    assert np.isnan(result.min_clearance)
+    # every sample of both segments next to a NaN waypoint is NaN
+    waypoints = np.array([chain.home_q, q, chain.home_q])
+    result = fitness(waypoints, chain, scene, FAST_PSO)
+    assert result.colliding_samples == 2 * 20
+
+
 def test_fitness_dimension_checks(chain):
     with pytest.raises(DimensionMismatch):
         fitness(np.zeros((3, 2)), chain, EMPTY, FAST_PSO)
