@@ -68,7 +68,8 @@ class CameraModel:
             raise ConfigError("focal lengths must be > 0")
         if not (0.0 < self.cx < self.width and 0.0 < self.cy < self.height):
             raise ConfigError("principal point must lie inside the image")
-        n = float(np.linalg.norm(np.asarray(self.extrinsic_quaternion, dtype=float)))
+        with np.errstate(over="ignore"):  # an overflowing norm fails below
+            n = float(np.linalg.norm(np.asarray(self.extrinsic_quaternion, dtype=float)))
         if abs(n - 1.0) > 1e-9:
             raise ConfigError("extrinsic quaternion must have unit norm")
 

@@ -172,11 +172,12 @@ def _scene_arrays(scene: Scene):
 def _clearance(chain: KinematicChain, qs: np.ndarray, arrays,
                cutoff: float) -> np.ndarray:
     """Signed clearance per configuration of a (B, N) batch: exact below
-    `cutoff`, at least `cutoff` elsewhere; NO_OBSTACLE_CLEARANCE without
-    obstacles. A link segment gets the exact distances only when its lower
-    bound, the distance to the scene's bounding ball, is below `cutoff`."""
+    `cutoff`, at least `cutoff` elsewhere; without obstacles,
+    NO_OBSTACLE_CLEARANCE, or NaN for a row that is not all finite. A link
+    segment gets the exact distances only when its lower bound, the distance
+    to the scene's bounding ball, is below `cutoff`."""
     if arrays is None:
-        return np.full(qs.shape[0], NO_OBSTACLE_CLEARANCE)
+        return np.where(np.isfinite(qs).all(axis=1), NO_OBSTACLE_CLEARANCE, np.nan)
     centers, radii, cap_p0, cap_p1, cap_radii, ball_center, ball_radius = arrays
     pts = link_points_batch(chain, qs)          # (B, P, 3)
     seg_a = pts[:, :-1, :]

@@ -9,12 +9,16 @@ from harvestcell import cli
 from harvestcell.config import default_config_path
 
 
+def _shipped_raw():
+    with open(default_config_path(), "r", encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+
+
 @pytest.fixture(scope="module")
 def fast_config_path(tmp_path_factory):
     """Shipped config with a small swarm so CLI planning tests stay quick."""
-    with open(default_config_path(), "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    raw["pso"].update({"swarm_size": 12, "iterations": 40})
+    raw = _shipped_raw()
+    raw.setdefault("pso", {}).update({"swarm_size": 12, "iterations": 40})
     path = tmp_path_factory.mktemp("config") / "fast.yaml"
     path.write_text(yaml.safe_dump(raw))
     return str(path)
@@ -72,7 +76,7 @@ def test_solve_mechanism_mixed_assembly(tmp_path):
     config = {
         "mechanism": {"r": 20.0, "f": 40.0, "a": 10.0, "b": 5.0, "c": 5.0,
                       "d": 25.0, "e": 20.0, "theta_range_deg": [0.0, 120.0]},
-        "arm": yaml.safe_load(open(default_config_path()))["arm"],
+        "arm": _shipped_raw()["arm"],
     }
     cfg_path = tmp_path / "partial.yaml"
     cfg_path.write_text(yaml.safe_dump(config))
@@ -104,10 +108,11 @@ def test_plan_roundtrip_and_determinism(tmp_path, fast_config_path):
     assert all(a >= b for a, b in zip(trace, trace[1:]))
 
 
-def _assert_one_line_error(capsys):
+def _assert_one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("harvestcell: ")
     assert "Traceback" not in err
+    return err
 
 
 def test_plan_goal_inside_obstacle(tmp_path, fast_config_path, capsys):
@@ -155,9 +160,8 @@ def test_pick_stats_success(tmp_path, detection_fixture):
 
 def test_pick_stats_zero_noise_full_success(tmp_path, detection_fixture):
     det, depth = detection_fixture
-    with open(default_config_path(), "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    raw["pick_cycle"]["pose_noise_sigma"] = 0.0
+    raw = _shipped_raw()
+    raw.setdefault("pick_cycle", {})["pose_noise_sigma"] = 0.0
     cfg_path = tmp_path / "quietcfg.yaml"
     cfg_path.write_text(yaml.safe_dump(raw))
     out = tmp_path / "stats.json"
@@ -200,6 +204,26 @@ def test_invalid_config_produces_no_output(tmp_path):
                      "torque-curve", "--theta", "45"])
     assert code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, key_path", [
+    pytest.param("scene", "spheres", 5, "scene.spheres", id="integer-spheres"),
+    pytest.param("arm", "joints", [5], "arm.joints[0]", id="integer-joint"),
+    pytest.param("scene", "workspace_bounds", {"min": [-0.8, -0.8, 0.0]},
+                 "scene.workspace_bounds.max", id="no-bounds-max"),
+])
+def test_malformed_config_fails_with_one_line(tmp_path, capsys, section, key,
+                                              value, key_path):
+    raw = _shipped_raw()
+    raw[section][key] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "curve.csv"
+    code = cli.main(["--quiet", "--config", str(cfg), "--out", str(out),
+                     "torque-curve", "--theta", "45"])
+    assert code == 1
+    assert not out.exists()
+    assert key_path in _assert_one_line_error(capsys)
 
 
 def test_help_lists_subcommands(capsys):

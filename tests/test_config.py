@@ -2,8 +2,10 @@ import copy
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from harvestcell.config import default_config_path, parse_config
+from harvestcell.config import RunConfig, default_config_path, parse_config
 from harvestcell.errors import ConfigError
 
 
@@ -33,6 +35,34 @@ def _non_numeric_offset(raw):
     raw["arm"]["joints"][0]["offset"] = ["a", 0, 0]
 
 
+def _drop_bounds_max(raw):
+    del raw["scene"]["workspace_bounds"]["max"]
+
+
+def _integer_joint(raw):
+    raw["arm"]["joints"] = [5]
+
+
+def _integer_spheres(raw):
+    raw["scene"]["spheres"] = 5
+
+
+def _four_entry_home_q(raw):
+    raw["arm"]["home_q"] = raw["arm"]["home_q"][:4]
+
+
+def _integer_sphere_tag(raw):
+    raw["scene"]["spheres"][0]["tag"] = 5
+
+
+def _put(section, key, value):
+    """Mutator that sets `section.key`; the section may be absent from the
+    shipped document, whose omitted keys take the dataclass defaults."""
+    def mutate(raw):
+        raw.setdefault(section, {})[key] = value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, key_path", [
     pytest.param(_drop_limits, "arm.joints[1].limits", id="no-limits"),
     pytest.param(_one_element_limits, "arm.joints[2].limits", id="short-limits"),
@@ -40,6 +70,26 @@ def _non_numeric_offset(raw):
     pytest.param(_zero_approach_axis, "arm.approach_axis", id="zero-approach"),
     pytest.param(_non_numeric_offset, "arm.joints[0].offset",
                  id="non-numeric-offset"),
+    pytest.param(_drop_bounds_max, "scene.workspace_bounds.max", id="no-bounds-max"),
+    pytest.param(_integer_joint, "arm.joints[0]", id="integer-joint"),
+    pytest.param(_integer_spheres, "scene.spheres", id="integer-spheres"),
+    pytest.param(_put("pso", "inertia", "x"), "pso.inertia", id="string-float"),
+    pytest.param(_put("pso", "seed", "abc"), "pso.seed", id="string-int"),
+    pytest.param(_put("pso", "clearance", float("nan")), "pso.clearance",
+                 id="nan-clearance"),
+    pytest.param(_put("camera", "fx", float("nan")), "camera.fx", id="nan-fx"),
+    pytest.param(_put("mechanism", "r", float("inf")), "mechanism.r",
+                 id="inf-crank"),
+    pytest.param(_put("pick_cycle", "cut_zone_radius", float("inf")),
+                 "pick_cycle.cut_zone_radius", id="inf-cut-zone"),
+    pytest.param(_put("pick_cycle", "punnet_position", [float("inf"), 0, 0]),
+                 "pick_cycle.punnet_position", id="inf-punnet"),
+    pytest.param(_put("pso", "swarm_size", 2.7), "pso.swarm_size",
+                 id="fractional-swarm"),
+    pytest.param(_put("mechanism", "finger_count", 2.5), "mechanism.finger_count",
+                 id="fractional-fingers"),
+    pytest.param(_four_entry_home_q, "arm.home_q", id="short-home-q"),
+    pytest.param(_integer_sphere_tag, "scene.spheres[0].tag", id="integer-tag"),
 ])
 def test_malformed_config_names_key_path(shipped_raw, mutate, key_path):
     raw = copy.deepcopy(shipped_raw)
@@ -57,7 +107,79 @@ def test_malformed_config_names_key_path(shipped_raw, mutate, key_path):
 ])
 def test_non_finite_pick_cycle_value_rejected(shipped_raw, line):
     raw = copy.deepcopy(shipped_raw)
-    raw["pick_cycle"].update(yaml.safe_load(line))
+    raw.setdefault("pick_cycle", {}).update(yaml.safe_load(line))
     key = line.split(":")[0]
     with pytest.raises(ConfigError, match=key):
         parse_config(raw)
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of every scalar and every list entry that is not a mapping
+    or a list, in a parsed YAML document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _leaf_keys(node, path=()):
+    """Key paths of every mapping key whose value is not a mapping."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, path + (key,))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            yield path + (key,)
+            yield from _leaf_keys(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _parent(raw, path):
+    for key in path[:-1]:
+        raw = raw[key]
+    return raw
+
+
+@pytest.fixture(scope="module")
+def shipped_leaves(shipped_raw):
+    return list(_leaf_paths(shipped_raw))
+
+
+_DRAWN = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3)),
+             max_size=5),
+    st.dictionaries(st.text(max_size=8), st.integers(), max_size=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), value=_DRAWN)
+def test_any_leaf_value_parses_or_raises_one_line_config_error(
+        shipped_raw, shipped_leaves, data, value):
+    path = data.draw(st.sampled_from(shipped_leaves))
+    raw = copy.deepcopy(shipped_raw)
+    _parent(raw, path)[path[-1]] = value
+    try:
+        assert isinstance(parse_config(raw), RunConfig)
+    except ConfigError as exc:
+        assert "\n" not in str(exc)
+
+
+def test_shipped_yaml_restates_no_default(shipped_raw):
+    """Every leaf key of the shipped file changes the parsed config, so the
+    file never repeats a dataclass default."""
+    shipped = repr(parse_config(shipped_raw))
+    paths = list(_leaf_keys(shipped_raw))
+    assert len(paths) > 20
+    for path in paths:
+        raw = copy.deepcopy(shipped_raw)
+        del _parent(raw, path)[path[-1]]
+        try:
+            parsed = repr(parse_config(raw))
+        except ConfigError:
+            continue  # a required key
+        assert parsed != shipped, f"{'.'.join(map(str, path))} restates a default"

@@ -155,8 +155,9 @@ def test_fitness_counts_colliding_samples(chain, run_config):
     assert result.collision_penalty == FAST_PSO.collision_penalty * count
 
 
-def test_nan_configuration_collides(chain, run_config):
-    scene = run_config.scene
+@pytest.mark.parametrize("shipped", [True, False], ids=["shipped", "empty"])
+def test_nan_configuration_collides(chain, run_config, shipped):
+    scene = run_config.scene if shipped else EMPTY
     q = np.array([np.nan, 0.0, 0.0, 0.0, 0.0])
     result = collision_check(chain, q, scene, FAST_PSO.clearance)
     assert result.colliding
