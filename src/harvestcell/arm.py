@@ -33,7 +33,7 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     x, y, z, w = q
     n = x * x + y * y + z * z + w * w
     if abs(n - 1.0) > 1e-9:
-        raise ConfigError(f"quaternion must have unit norm, got |q|^2={n!r}")
+        raise ConfigError(f"quaternion must have unit norm, got |q|^2={float(n)!r}")
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
@@ -70,6 +70,10 @@ class RigidTransform:
         default_factory=lambda: np.zeros(3))
     quaternion: np.ndarray = field(
         default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
+
+    def __post_init__(self):
+        with np.errstate(over="ignore"):  # an overflowing norm fails the test
+            self.matrix()
 
     def matrix(self) -> np.ndarray:
         return quat_to_matrix(np.asarray(self.quaternion, dtype=float))

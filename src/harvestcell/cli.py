@@ -27,8 +27,7 @@ from .config import RunConfig, load_config, load_default_config
 from .errors import (HarvestCellError, InfeasibleEndpoints, NoFeasibleFound,
                      NoRipeTarget)
 from .harvest import STAGES, monte_carlo
-from .mechanism import (DegenerateGeometry, NoAssembly, closure_residual,
-                        force_torque_curve, sweep_positions)
+from .mechanism import closure_residual, force_torque_curve, sweep_positions
 from .perception import load_depth_frame, load_detections, select_target
 from .planner import Trajectory, plan_trajectory
 
@@ -304,9 +303,6 @@ def main(argv=None) -> int:
     except NoRipeTarget as exc:
         say(str(exc), error=True)
         return EXIT_NO_RIPE_TARGET
-    except (NoAssembly, DegenerateGeometry) as exc:
-        say(str(exc), error=True)
-        return EXIT_CONFIG
     except (HarvestCellError, ValueError, OSError) as exc:
         say(str(exc), error=True)
         return EXIT_CONFIG

@@ -170,8 +170,11 @@ def load_config(path) -> RunConfig:
             raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
+    except yaml.YAMLError as exc:  # the parser's own text spans several lines
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1}" if mark is not None else ""
+        detail = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"invalid YAML in {path}{where}: {detail}") from exc
     return parse_config(raw if raw is not None else {})
 
 

@@ -32,8 +32,6 @@ from .planner import PsoConfig, Scene, Trajectory, plan_trajectory
 STAGES = ("approach", "separate", "cut", "grasp", "depart", "release")
 OUTCOMES = ("success", "fail_cut_missed", "fail_no_plan", "fail_unreachable")
 
-TOTAL_CYCLE_SECONDS = 24.34
-
 
 def default_stage_means() -> dict[str, float]:
     """Shipped per-stage duration means (seconds); they sum to 24.34 s."""
@@ -45,6 +43,9 @@ def default_stage_means() -> dict[str, float]:
         "depart": 6.0,
         "release": 3.34,
     }
+
+
+TOTAL_CYCLE_SECONDS = sum(default_stage_means().values())
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ The gripper drives six fingers through a scotch-yoke crank (angle theta).
 Each finger is a closed four-bar-style loop; solving the loop closure gives
 the coupler angle beta and the contact-arm angle xi, from which the contact
 point (x_m, y_m) and the motor torque for a prescribed grasp force follow.
+`_closure` is the one evaluation of the loop closure, behind the position
+solution, the derivative and the assembly check; `_angles` is the one
+crank-angle grid, behind the sweep and the assembly check.
 
 Public angles are degrees, lengths millimetres, forces Newton, torque N*mm.
 All trigonometry and derivatives are evaluated in radians internally.
@@ -110,48 +113,36 @@ def _check_theta_in_range(params: MechanismParams, theta_deg: float) -> None:
         )
 
 
-def _loop_terms(params: MechanismParams, theta_rad: float) -> tuple[float, float]:
-    """Constant sides of the closure equations: A = r cos(th) + f - a, B = c - b."""
-    return params.r * math.cos(theta_rad) + params.f - params.a, params.c - params.b
-
-
-def _acos_argument(params: MechanismParams, k: float) -> float:
-    return (k * k + params.e * params.e - params.d * params.d) / (2.0 * params.e * k)
+def _closure(params: MechanismParams, theta_deg: float, branch: str):
+    """(sign, th, A, B, k, u, arg, beta, num, den) at theta on one branch,
+    without the theta_range check: angles in radians, arg the unclamped acos
+    argument, xi = atan2(num, den). Formulas and raises: solve_finger_position."""
+    sign = _check_branch(branch)
+    th = math.radians(theta_deg)
+    big_a = params.r * math.cos(th) + params.f - params.a
+    big_b = params.c - params.b
+    k = math.hypot(big_a, big_b)
+    if k < 1e-12:
+        raise DegenerateGeometry(
+            f"linkage diagonal collapses at theta={theta_deg:.6g} deg")
+    u = math.atan2(big_b, big_a)
+    arg = (k * k + params.e * params.e - params.d * params.d) / (2.0 * params.e * k)
+    if abs(arg) > 1.0 + _ARG_CLIP:
+        raise NoAssembly(theta_deg, arg)
+    beta = -u + sign * math.acos(max(-1.0, min(1.0, arg)))
+    return (sign, th, big_a, big_b, k, u, arg, beta,
+            big_b + params.e * math.sin(beta), big_a - params.e * math.cos(beta))
 
 
 def _solve_unchecked(params: MechanismParams, theta_deg: float,
                      branch: str) -> FingerSolution:
-    """Position solution without the theta_range precondition check.
-
-    Used internally for finite differences straddling the range boundary.
-    """
-    sign = _check_branch(branch)
-    th = math.radians(theta_deg)
-    big_a, big_b = _loop_terms(params, th)
-    k = math.hypot(big_a, big_b)
-    if k < 1e-12:
-        raise DegenerateGeometry(
-            f"linkage diagonal collapses at theta={theta_deg:.6g} deg"
-        )
-    u = math.atan2(big_b, big_a)
-    arg = _acos_argument(params, k)
-    if abs(arg) > 1.0 + _ARG_CLIP:
-        raise NoAssembly(theta_deg, arg)
-    arg = max(-1.0, min(1.0, arg))
-    beta = -u + sign * math.acos(arg)
-    xi = math.atan2(big_b + params.e * math.sin(beta),
-                    big_a - params.e * math.cos(beta))
-    x_m, y_m = contact_point(params, theta_deg, math.degrees(xi))
-    return FingerSolution(
-        theta=theta_deg,
-        beta=math.degrees(beta),
-        xi=math.degrees(xi),
-        k=k,
-        u=math.degrees(u),
-        x_m=x_m,
-        y_m=y_m,
-        branch=branch,
-    )
+    """Position solution without the theta_range check, for finite
+    differences straddling the range boundary."""
+    _, _, _, _, k, u, _, beta, num, den = _closure(params, theta_deg, branch)
+    xi = math.degrees(math.atan2(num, den))
+    x_m, y_m = contact_point(params, theta_deg, xi)
+    return FingerSolution(theta=theta_deg, beta=math.degrees(beta), xi=xi, k=k,
+                          u=math.degrees(u), x_m=x_m, y_m=y_m, branch=branch)
 
 
 def solve_finger_position(params: MechanismParams, theta_deg: float,
@@ -201,17 +192,8 @@ def closure_residual(params: MechanismParams,
 
 def _xi_derivative_analytic(params: MechanismParams, theta_deg: float,
                             branch: str) -> float:
-    sign = _check_branch(branch)
-    th = math.radians(theta_deg)
-    big_a, big_b = _loop_terms(params, th)
-    k = math.hypot(big_a, big_b)
-    if k < 1e-12:
-        raise DegenerateGeometry(
-            f"linkage diagonal collapses at theta={theta_deg:.6g} deg"
-        )
-    arg = _acos_argument(params, k)
-    if abs(arg) > 1.0 + _ARG_CLIP:
-        raise NoAssembly(theta_deg, arg)
+    sign, th, big_a, big_b, k, _, arg, beta, num, den = _closure(
+        params, theta_deg, branch)
     if 1.0 - abs(arg) <= _SINGULAR_TOL:
         raise NearSingular(theta_deg, arg)
 
@@ -222,9 +204,6 @@ def _xi_derivative_analytic(params: MechanismParams, theta_deg: float,
     darg = dk * (k * k - params.e * params.e + params.d * params.d) \
         / (2.0 * params.e * k * k)
     dbeta = -du - sign * darg / math.sqrt(1.0 - arg * arg)
-    beta = -math.atan2(big_b, big_a) + sign * math.acos(max(-1.0, min(1.0, arg)))
-    num = big_b + params.e * math.sin(beta)
-    den = big_a - params.e * math.cos(beta)
     dnum = params.e * math.cos(beta) * dbeta
     dden = da + params.e * math.sin(beta) * dbeta
     return (dnum * den - num * dden) / (params.d * params.d)
@@ -264,8 +243,8 @@ def torque_single_finger(params: MechanismParams, theta_deg: float,
     i.e. treats the force as acting on both displacement components; the
     canonical output uses the horizontal term only.
     """
-    if force_p < 0.0:
-        raise ValueError("force_p must be >= 0")
+    if not 0.0 <= force_p < math.inf:
+        raise ValueError(f"force_p must be finite and >= 0, got {force_p!r}")
     _check_theta_in_range(params, theta_deg)
     sol = _solve_unchecked(params, theta_deg, branch)
     dxi = _xi_derivative_analytic(params, theta_deg, branch)
@@ -296,6 +275,16 @@ def force_torque_curve(params: MechanismParams, theta_deg: float,
     return [torque_single_finger(params, theta_deg, p, branch) for p in forces]
 
 
+def _angles(start: float, end: float, step: float):
+    """Crank angles start + i * step up to end, each clamped to end, so a grid
+    whose last step rounds past end still ends on it."""
+    if not step > 0.0:
+        raise ValueError(f"theta_step must be > 0, got {step!r}")
+    n = int(math.floor((end - start) / step + 1e-9)) + 1
+    for i in range(n):
+        yield min(start + i * step, end)
+
+
 def sweep_positions(params: MechanismParams, theta_start: float,
                     theta_end: float, theta_step: float,
                     branch: str = "elbow_up"):
@@ -305,44 +294,30 @@ def sweep_positions(params: MechanismParams, theta_start: float,
     assembles; from then on, at each angle the branch whose beta is closest
     to the previous solution's beta is kept, so the mechanism never flips
     assembly mode mid-sweep. Yields (theta_deg, FingerSolution | None);
-    None marks angles where the linkage cannot close.
+    None marks angles where the linkage cannot close, on either branch alike.
     """
-    if theta_step <= 0.0:
-        raise ValueError("theta_step must be > 0")
     _check_branch(branch)
-    n = int(math.floor((theta_end - theta_start) / theta_step + 1e-9)) + 1
     prev_beta = None
-    for i in range(n):
-        theta = theta_start + i * theta_step
+    for theta in _angles(theta_start, theta_end, theta_step):
         try:
-            if prev_beta is None:
-                sol = solve_finger_position(params, theta, branch)
-            else:
-                candidates = []
-                for tag in BRANCHES:
-                    try:
-                        candidates.append(solve_finger_position(params, theta, tag))
-                    except (NoAssembly, DegenerateGeometry):
-                        pass
-                if not candidates:
-                    raise NoAssembly(theta, math.nan)
-                sol = min(candidates, key=lambda s: abs(
-                    (s.beta - prev_beta + 180.0) % 360.0 - 180.0))
+            sols = [solve_finger_position(params, theta, tag) for tag in BRANCHES]
         except (NoAssembly, DegenerateGeometry):
             yield theta, None
             continue
+        if prev_beta is None:
+            sol = sols[BRANCHES.index(branch)]
+        else:
+            sol = min(sols, key=lambda s: abs(
+                (s.beta - prev_beta + 180.0) % 360.0 - 180.0))
         prev_beta = sol.beta
         yield theta, sol
 
 
 def check_assembly_range(params: MechanismParams, step_deg: float = 1.0) -> None:
     """Raise ConfigError unless the linkage assembles over all of theta_range."""
-    lo, hi = params.theta_range
-    n = int(math.floor((hi - lo) / step_deg + 1e-9)) + 1
-    for i in range(n):
-        theta = min(lo + i * step_deg, hi)
+    for theta in _angles(*params.theta_range, step_deg):
         try:
-            _solve_unchecked(params, theta, "elbow_up")
+            _closure(params, theta, "elbow_up")
         except (NoAssembly, DegenerateGeometry) as exc:
             raise ConfigError(
                 f"mechanism parameters do not assemble at theta={theta:.6g} deg: {exc}"

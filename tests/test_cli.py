@@ -92,6 +92,50 @@ def test_solve_mechanism_mixed_assembly(tmp_path):
             assert row[1] == ""  # no solution fields emitted
 
 
+def test_solve_mechanism_sweep_ends_at_end(tmp_path):
+    # 0.2 + 1198 * 0.1 rounds above 120; the last angle is clamped to --end
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["--quiet", "--out", str(out), "solve-mechanism",
+                     "--start", "0.2", "--end", "120", "--step", "0.1"])
+    assert code == 0
+    _, rows = _read_csv(out)
+    assert rows[-1][0] == "120.0"
+
+
+def test_solve_mechanism_nan_step(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["--quiet", "--out", str(out), "solve-mechanism",
+                     "--step", "nan"])
+    assert code == 1
+    assert not out.exists()
+    assert "theta_step" in _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--p-min", "nan", id="nan-p-min"),
+    pytest.param("--p-max", "inf", id="inf-p-max"),
+])
+def test_torque_curve_non_finite_force(tmp_path, capsys, flag, value):
+    out = tmp_path / "curve.csv"
+    code = cli.main(["--quiet", "--out", str(out), "torque-curve",
+                     "--theta", "45", flag, value])
+    assert code == 1
+    assert not out.exists()
+    assert "force_p" in _assert_one_line_error(capsys)
+
+
+def test_invalid_yaml_fails_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("arm: [1")
+    out = tmp_path / "curve.csv"
+    code = cli.main(["--quiet", "--config", str(cfg), "--out", str(out),
+                     "torque-curve", "--theta", "45"])
+    assert code == 1
+    assert not out.exists()
+    err = _assert_one_line_error(capsys)
+    assert str(cfg) in err and "line 1" in err
+
+
 def test_plan_roundtrip_and_determinism(tmp_path, fast_config_path):
     out1 = tmp_path / "traj1.json"
     out2 = tmp_path / "traj2.json"
@@ -211,6 +255,8 @@ def test_invalid_config_produces_no_output(tmp_path):
     pytest.param("arm", "joints", [5], "arm.joints[0]", id="integer-joint"),
     pytest.param("scene", "workspace_bounds", {"min": [-0.8, -0.8, 0.0]},
                  "scene.workspace_bounds.max", id="no-bounds-max"),
+    pytest.param("arm", "tool_offset", {"quaternion_xyzw": [1, 1, 0, 0]},
+                 "'arm.tool_offset'", id="non-unit-quaternion"),
 ])
 def test_malformed_config_fails_with_one_line(tmp_path, capsys, section, key,
                                               value, key_path):

@@ -55,6 +55,10 @@ def _integer_sphere_tag(raw):
     raw["scene"]["spheres"][0]["tag"] = 5
 
 
+def _non_unit_tool_quaternion(raw):
+    raw["arm"]["tool_offset"]["quaternion_xyzw"] = [1, 1, 0, 0]
+
+
 def _put(section, key, value):
     """Mutator that sets `section.key`; the section may be absent from the
     shipped document, whose omitted keys take the dataclass defaults."""
@@ -90,6 +94,8 @@ def _put(section, key, value):
                  id="fractional-fingers"),
     pytest.param(_four_entry_home_q, "arm.home_q", id="short-home-q"),
     pytest.param(_integer_sphere_tag, "scene.spheres[0].tag", id="integer-tag"),
+    pytest.param(_non_unit_tool_quaternion, "'arm.tool_offset'",
+                 id="non-unit-quaternion"),
 ])
 def test_malformed_config_names_key_path(shipped_raw, mutate, key_path):
     raw = copy.deepcopy(shipped_raw)

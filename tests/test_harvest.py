@@ -57,6 +57,7 @@ def test_default_stage_means_sum_exactly():
     assert set(means) == set(STAGES)
     assert all(m > 0.0 for m in means.values())
     assert sum(means.values()) == TOTAL_CYCLE_SECONDS
+    assert TOTAL_CYCLE_SECONDS == 24.34  # the paper's cycle time
 
 
 def test_pick_cycle_config_validation():

@@ -6,8 +6,9 @@ import pytest
 
 from harvestcell.errors import (ConfigError, DegenerateGeometry, NearSingular,
                                 NoAssembly)
-from harvestcell.mechanism import (BRANCHES, MechanismParams, closure_residual,
-                                   contact_point, force_torque_curve,
+from harvestcell.mechanism import (BRANCHES, FingerSolution, MechanismParams,
+                                   closure_residual, contact_point,
+                                   force_torque_curve,
                                    solve_finger_position, sweep_positions,
                                    torque_single_finger, xi_derivative)
 
@@ -236,3 +237,111 @@ def test_sweep_crossing_assembly_boundary():
     solved = [theta for theta, sol in rows if sol is not None]
     assert missing and solved
     assert max(missing) < min(solved)
+
+
+def _reference_solve(params, theta_deg, branch):
+    """Position solution as written before the loop closure had one home."""
+    sign = 1.0 if branch == "elbow_up" else -1.0
+    th = math.radians(theta_deg)
+    big_a, big_b = params.r * math.cos(th) + params.f - params.a, params.c - params.b
+    k = math.hypot(big_a, big_b)
+    if k < 1e-12:
+        raise DegenerateGeometry(
+            f"linkage diagonal collapses at theta={theta_deg:.6g} deg"
+        )
+    u = math.atan2(big_b, big_a)
+    arg = (k * k + params.e * params.e - params.d * params.d) / (2.0 * params.e * k)
+    if abs(arg) > 1.0 + 1e-12:
+        raise NoAssembly(theta_deg, arg)
+    arg = max(-1.0, min(1.0, arg))
+    beta = -u + sign * math.acos(arg)
+    xi = math.atan2(big_b + params.e * math.sin(beta),
+                    big_a - params.e * math.cos(beta))
+    x_m, y_m = contact_point(params, theta_deg, math.degrees(xi))
+    return FingerSolution(theta=theta_deg, beta=math.degrees(beta),
+                          xi=math.degrees(xi), k=k, u=math.degrees(u),
+                          x_m=x_m, y_m=y_m, branch=branch)
+
+
+def _reference_dxi(params, theta_deg, branch):
+    """Analytic d(xi)/d(theta) as written before the loop closure had one home."""
+    sign = 1.0 if branch == "elbow_up" else -1.0
+    th = math.radians(theta_deg)
+    big_a, big_b = params.r * math.cos(th) + params.f - params.a, params.c - params.b
+    k = math.hypot(big_a, big_b)
+    if k < 1e-12:
+        raise DegenerateGeometry(
+            f"linkage diagonal collapses at theta={theta_deg:.6g} deg"
+        )
+    arg = (k * k + params.e * params.e - params.d * params.d) / (2.0 * params.e * k)
+    if abs(arg) > 1.0 + 1e-12:
+        raise NoAssembly(theta_deg, arg)
+    if 1.0 - abs(arg) <= 1e-9:
+        raise NearSingular(theta_deg, arg)
+    da = -params.r * math.sin(th)
+    dk = big_a * da / k
+    du = -big_b * da / (k * k)
+    darg = dk * (k * k - params.e * params.e + params.d * params.d) \
+        / (2.0 * params.e * k * k)
+    dbeta = -du - sign * darg / math.sqrt(1.0 - arg * arg)
+    beta = -math.atan2(big_b, big_a) + sign * math.acos(max(-1.0, min(1.0, arg)))
+    num = big_b + params.e * math.sin(beta)
+    den = big_a - params.e * math.cos(beta)
+    dnum = params.e * math.cos(beta) * dbeta
+    dden = da + params.e * math.sin(beta) * dbeta
+    return (dnum * den - num * dden) / (params.d * params.d)
+
+
+def _reference_torque(params, theta_deg, force_p, branch):
+    xi = math.radians(_reference_solve(params, theta_deg, branch).xi)
+    dxi = _reference_dxi(params, theta_deg, branch)
+    return (force_p * params.l_dm * math.sin(xi) * dxi
+            + force_p * params.r * math.sin(math.radians(theta_deg)))
+
+
+def _outcome(fn, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (DegenerateGeometry, NoAssembly, NearSingular) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(MechanismParams(), id="defaults"),
+    pytest.param(MechanismParams().scaled(2.0), id="scaled"),
+    pytest.param(MechanismParams(r=20.0, f=40.0, a=10.0, b=5.0, c=5.0, d=25.0,
+                                 e=20.0, theta_range=(0.0, 120.0)),
+                 id="assembly-boundary"),
+])
+def test_closure_matches_reference_formulas(params):
+    """The one closure solve reproduces the former solver, derivative and
+    torque bit for bit, raises included."""
+    for branch in BRANCHES:
+        for theta in np.arange(0.0, 120.0 + 1e-9, 0.5):
+            theta = float(theta)
+            assert _outcome(solve_finger_position, params, theta, branch) \
+                == _outcome(_reference_solve, params, theta, branch)
+            assert _outcome(xi_derivative, params, theta, branch) \
+                == _outcome(_reference_dxi, params, theta, branch)
+            assert _outcome(lambda: torque_single_finger(
+                params, theta, 5.0, branch).torque_single) \
+                == _outcome(_reference_torque, params, theta, 5.0, branch)
+
+
+@pytest.mark.parametrize("force", [math.nan, math.inf, -1.0])
+def test_torque_rejects_non_finite_or_negative_force(params, force):
+    with pytest.raises(ValueError, match="force_p"):
+        torque_single_finger(params, 45.0, force)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
+def test_sweep_rejects_step_not_positive(params, step):
+    with pytest.raises(ValueError, match="theta_step"):
+        list(sweep_positions(params, 0.0, 120.0, step))
+
+
+def test_sweep_ends_exactly_at_end(params):
+    thetas = [theta for theta, _ in sweep_positions(params, 0.2, 120.0, 0.1)]
+    assert len(thetas) == 1199
+    assert thetas[-1] == 120.0
