@@ -330,7 +330,8 @@ def monte_carlo(target: TargetTomato, chain: KinematicChain, scene: Scene,
 def calibrate_noise(target: TargetTomato, chain: KinematicChain, scene: Scene,
                     planner_config: PsoConfig, cycle_config: PickCycleConfig,
                     target_rate: float, trials_per_eval: int = 500,
-                    tolerance: float = 0.02) -> float:
+                    tolerance: float = 0.02,
+                    plans: CyclePlans | None = None) -> float:
     """The pose-noise sigma at which `monte_carlo` with cycle_config.seed and
     trials_per_eval trials succeeds at target_rate, to within
     1 / trials_per_eval.
@@ -343,13 +344,15 @@ def calibrate_noise(target: TargetTomato, chain: KinematicChain, scene: Scene,
     statistics of s. Raises CalibrationFailed when the plans fail, when
     |d| > R (success is then not monotone in sigma), when no count out of
     trials_per_eval lies within tolerance of target_rate, or when the sigma
-    needed exceeds 5 * R.
+    needed exceeds 5 * R. Like `monte_carlo`, it plans the cycle only when
+    the caller passes no `plans`.
     """
     if not 0.0 < target_rate < 1.0:
         raise ConfigError("target_rate must lie strictly between 0 and 1")
     if trials_per_eval < 1:
         raise ConfigError("trials_per_eval must be >= 1")
-    plans = plan_cycle(target, chain, scene, planner_config, cycle_config)
+    if plans is None:
+        plans = plan_cycle(target, chain, scene, planner_config, cycle_config)
     if plans.failure_stage is not None:
         raise CalibrationFailed(
             f"cycle fails at {plans.failure_stage} at every sigma")

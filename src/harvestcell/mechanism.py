@@ -28,6 +28,8 @@ _ARG_CLIP = 1e-12
 _SINGULAR_TOL = 1e-9
 # Central-difference step, radians.
 FD_STEP_RAD = 1e-5
+# Largest crank-angle grid a sweep may ask for.
+_MAX_ANGLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -269,6 +271,9 @@ def force_torque_curve(params: MechanismParams, theta_deg: float,
     """Torque over evenly spaced grasp forces at fixed theta (linear in P)."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    for name, bound in (("p_min", p_min), ("p_max", p_max)):
+        if not 0.0 <= bound < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {bound!r}")
     if p_min > p_max:
         raise ValueError("p_min must be <= p_max")
     forces = [p_min + (p_max - p_min) * i / (steps - 1) for i in range(steps)]
@@ -277,11 +282,15 @@ def force_torque_curve(params: MechanismParams, theta_deg: float,
 
 def _angles(start: float, end: float, step: float):
     """Crank angles start + i * step up to end, each clamped to end, so a grid
-    whose last step rounds past end still ends on it."""
+    whose last step rounds past end still ends on it. At most _MAX_ANGLES."""
     if not step > 0.0:
         raise ValueError(f"theta_step must be > 0, got {step!r}")
-    n = int(math.floor((end - start) / step + 1e-9)) + 1
-    for i in range(n):
+    steps = (end - start) / step + 1e-9
+    if not steps < _MAX_ANGLES:  # also NaN and inf
+        raise ValueError(
+            f"theta_step {step!r} asks for more than {_MAX_ANGLES} crank angles "
+            f"from {start!r} to {end!r} deg")
+    for i in range(math.floor(steps) + 1 if steps >= 0.0 else 0):  # -inf too
         yield min(start + i * step, end)
 
 

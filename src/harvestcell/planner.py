@@ -8,18 +8,24 @@ Given a seed the whole optimization is deterministic.
 
 One kernel, `_clearance`, answers every collision query: the signed
 clearance of each configuration in a batch, exact wherever it is below a
-`cutoff` and otherwise only known to be at least `cutoff`, because a
-bounding-ball broad phase skipped the exact distances. `collision_check`
-passes cutoff=inf, so its answer is exact; scoring passes its collision
-threshold. One scorer, `_score`, interpolates and scores batches of
-polylines for the swarm, `fitness` and `recheck_feasible`, and the scene is
-compiled once per public call by `_scene_arrays`.
+`cutoff` and otherwise only known to be at least `cutoff`. Each (link,
+obstacle) pair is first bounded by the link's own bounding ball (midpoint,
+half-length) against the obstacle's core segment, and only pairs whose
+bound falls short of `cutoff` get exact distances (Ericson, Real-Time
+Collision Detection, 2004, ch. 4). `collision_check` passes cutoff=inf, so
+its answer is exact; scoring passes its collision threshold. One scorer,
+`_score`, interpolates and scores batches of polylines for the swarm,
+`fitness` and `recheck_feasible`. `_scene_arrays` compiles the scene once
+per public call, together with the chain's link half-lengths and the exact
+clearance of the leading links that do not move with q, so those are
+measured once per call instead of once per configuration.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +36,8 @@ from .geometry import segment_point_distance, segment_segment_distance
 
 NO_OBSTACLE_CLEARANCE = np.finfo(float).max
 SAMPLES_PER_SEGMENT = 20
+# covers rounding between a link's computed end points and its half-length
+_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -150,54 +158,127 @@ class CollisionResult:
     min_clearance: float
 
 
-def _scene_arrays(scene: Scene):
-    """(sphere centers, radii, capsule p0, p1, radii, ball center, ball
-    radius) stacked for broadcast evaluation, with None for an absent kind
-    and a ball containing every obstacle surface; None for an empty scene."""
+class _SceneArrays(NamedTuple):
+    """One public call's scene and chain constants. Obstacle m has the core
+    segment core_a[m]-core_b[m] (a sphere's core is its center twice;
+    spheres come first) and radius radii[m]. `reach[m, k]` is radii[m] plus
+    the half-length of moving link k plus a rounding slack."""
+
+    core_a: np.ndarray          # (M, 3)
+    core_b: np.ndarray          # (M, 3)
+    radii: np.ndarray           # (M,)
+    n_spheres: int
+    first_moving: int           # links before this one do not move with q
+    reach: np.ndarray           # (M, L)
+    static_clearance: float     # exact, over the static links; inf if none
+
+
+def _static_link_count(chain: KinematicChain, offsets: np.ndarray) -> int:
+    """Leading links whose end points do not move with q. Point 0 never
+    moves; point i+1 keeps still while every joint up to i turns about
+    joint 0's axis and link i's offset is exactly parallel to that axis,
+    since a rotation about the axis leaves both unchanged."""
+    def parallel(u, v) -> bool:  # cross product exactly zero
+        (a, b, c), (x, y, z) = u, v
+        return b * z == c * y and c * x == a * z and a * y == b * x
+
+    axis = chain.joints[0].axis
+    count = 0
+    for joint, offset in zip(chain.joints, offsets):
+        if not (parallel(joint.axis, axis) and parallel(offset, axis)):
+            break
+        count += 1
+    return count
+
+
+def _scene_arrays(chain: KinematicChain, scene: Scene) -> _SceneArrays | None:
+    """Compile `scene` against `chain` for `_clearance`; None for an empty
+    scene. The static leading links are measured here, once."""
     if not scene.spheres and not scene.capsules:
         return None
-    columns = ([s.center for s in scene.spheres], [s.radius for s in scene.spheres],
-               [c.p0 for c in scene.capsules], [c.p1 for c in scene.capsules],
-               [c.radius for c in scene.capsules])
-    arrays = tuple(np.array(v, dtype=float) if v else None for v in columns)
-    ball_center = np.mean(columns[0] + columns[2] + columns[3], axis=0)
-    surfaces = [(s.center, s.radius) for s in scene.spheres]
-    surfaces += [(end, c.radius) for c in scene.capsules for end in (c.p0, c.p1)]
-    ball_radius = max(
-        float(np.linalg.norm(np.asarray(point, dtype=float) - ball_center)) + radius
-        for point, radius in surfaces)
-    return arrays + (ball_center, ball_radius)
+    centers = [np.asarray(s.center, dtype=float) for s in scene.spheres]
+    core_a = np.array(centers + [c.p0 for c in scene.capsules], dtype=float)
+    core_b = np.array(centers + [c.p1 for c in scene.capsules], dtype=float)
+    radii = np.array([s.radius for s in scene.spheres]
+                     + [c.radius for c in scene.capsules], dtype=float)
+    # link i spans joint i+1's offset, the last link the tool translation
+    offsets = np.array([j.offset for j in chain.joints[1:]]
+                       + [chain.tool_offset.translation], dtype=float)
+    half = 0.5 * np.linalg.norm(offsets, axis=1)
+    reach = radii[:, None] + half[None, :] + _BOUND_SLACK
+    first_moving = _static_link_count(chain, offsets)
+    arrays = _SceneArrays(core_a, core_b, radii, len(scene.spheres), first_moving,
+                          reach[:, first_moving:], np.inf)
+    if first_moving:
+        # the static points are the same at every q, so take them at q = 0
+        pts = link_points_batch(chain, np.zeros((1, chain.n_joints)))
+        static = _link_clearance(pts[:, :first_moving + 1], 0,
+                                 reach[:, :first_moving], arrays, np.inf)
+        arrays = arrays._replace(static_clearance=float(static.min()))
+    return arrays
 
 
-def _clearance(chain: KinematicChain, qs: np.ndarray, arrays,
+def _link_clearance(pts: np.ndarray, first: int, reach: np.ndarray,
+                    arrays: _SceneArrays, cutoff: float) -> np.ndarray:
+    """(M*L, B) signed clearance of each (obstacle, link) pair, for the L
+    links from point `first` on of a (B, P, 3) polyline batch: exact, or,
+    where a cheaper lower bound already reaches `cutoff`, that bound. The
+    bound is the distance from the link's midpoint to the obstacle's core
+    minus `reach` (M, L), since no point of the link lies farther than its
+    half-length from the midpoint."""
+    batch = pts.shape[0]
+    core_a = arrays.core_a
+    caps = slice(arrays.n_spheres, None)
+    # midpoints as (3, L*B): with the batch axis last, every broadcast
+    # below runs over long rows
+    ends = pts.transpose(2, 1, 0)
+    mid = np.add(ends[:, first:-1], ends[:, first + 1:], order="C").reshape(3, -1)
+    mid *= 0.5
+    # midpoint-to-core distances in the expanded dot-product form of
+    # geometry.segment_point_distance, the dot products as two matmuls; a
+    # sphere's core is a point, so only capsules clamp a projection
+    dist_sq = ((mid * mid).sum(axis=0) - 2.0 * (core_a @ mid)
+               + np.einsum("ij,ij->i", core_a, core_a)[:, None])
+    d = arrays.core_b[caps] - core_a[caps]
+    dd = np.einsum("ij,ij->i", d, d)[:, None]
+    wd = d @ mid - np.einsum("ij,ij->i", core_a[caps], d)[:, None]
+    t = np.clip(wd * np.divide(1.0, dd, out=np.zeros_like(dd), where=dd > 0.0),
+                0.0, 1.0)
+    dist_sq[caps] -= t * (2.0 * wd - t * dd)
+    dist = np.sqrt(np.maximum(dist_sq, 0.0))
+    clear = dist.reshape(reach.shape + (batch,)) - reach[:, :, None]
+    pairs = np.flatnonzero(~(clear >= cutoff))  # NaN bounds too
+    cols, rows = np.divmod(pairs, clear[0].size)
+    links, configs = np.divmod(rows, batch)
+    seg_a = pts[configs, first + links]
+    seg_b = pts[configs, first + links + 1]
+    flat = clear.reshape(-1)
+    sphere = cols < arrays.n_spheres
+    on, at = sphere, cols[sphere]
+    flat[pairs[on]] = segment_point_distance(
+        seg_a[on], seg_b[on], core_a[at]) - arrays.radii[at]
+    on, at = ~sphere, cols[~sphere]
+    flat[pairs[on]] = segment_segment_distance(
+        seg_a[on], seg_b[on], core_a[at], arrays.core_b[at]) - arrays.radii[at]
+    return clear.reshape(-1, batch)
+
+
+def _clearance(chain: KinematicChain, qs: np.ndarray, arrays: _SceneArrays | None,
                cutoff: float) -> np.ndarray:
     """Signed clearance per configuration of a (B, N) batch: exact below
-    `cutoff`, at least `cutoff` elsewhere; without obstacles,
-    NO_OBSTACLE_CLEARANCE, or NaN for a row that is not all finite. A link
-    segment gets the exact distances only when its lower bound, the distance
-    to the scene's bounding ball, is below `cutoff`."""
+    `cutoff`, at least `cutoff` elsewhere; NaN for a row that is not all
+    finite, and NO_OBSTACLE_CLEARANCE for the others when there are no
+    obstacles. Only the links that move with q are measured here; the
+    static ones were measured when the scene was compiled."""
+    finite = np.isfinite(qs).all(axis=1)
     if arrays is None:
-        return np.where(np.isfinite(qs).all(axis=1), NO_OBSTACLE_CLEARANCE, np.nan)
-    centers, radii, cap_p0, cap_p1, cap_radii, ball_center, ball_radius = arrays
+        return np.where(finite, NO_OBSTACLE_CLEARANCE, np.nan)
     pts = link_points_batch(chain, qs)          # (B, P, 3)
-    seg_a = pts[:, :-1, :]
-    seg_b = pts[:, 1:, :]
-    clear = segment_point_distance(seg_a, seg_b, ball_center) - ball_radius
-    survivors = np.flatnonzero(clear < cutoff)
-    rows, segs = np.divmod(survivors, clear.shape[1])
-    sub_a = seg_a[rows, segs][:, None, :]       # (K, 1, 3)
-    sub_b = seg_b[rows, segs][:, None, :]
-    exact = np.full(rows.shape[0], np.inf)
-    if centers is not None:
-        dist = segment_point_distance(sub_a, sub_b, centers[None]) - radii
-        exact = np.minimum(exact, dist.min(axis=1))
-    if cap_p0 is not None:
-        dist = segment_segment_distance(
-            sub_a, sub_b, cap_p0[None], cap_p1[None]) - cap_radii
-        exact = np.minimum(exact, dist.min(axis=1))
-    clear.reshape(-1)[survivors] = exact
-    # column by column: min(axis=1) over these short rows is ~10x slower
-    return functools.reduce(np.minimum, clear.T)
+    clear = _link_clearance(pts, arrays.first_moving, arrays.reach, arrays, cutoff)
+    # row by row: min(axis=0) over these short columns is ~10x slower
+    least = functools.reduce(np.minimum, clear,
+                             np.full(qs.shape[0], arrays.static_clearance))
+    return np.where(finite, least, np.nan)
 
 
 def collision_check(chain: KinematicChain, q, scene: Scene,
@@ -210,7 +291,7 @@ def collision_check(chain: KinematicChain, q, scene: Scene,
     min_clearance is signed (negative = penetration).
     """
     q = chain.check_q(q)
-    clear = float(_clearance(chain, q[None, :], _scene_arrays(scene), np.inf)[0])
+    clear = float(_clearance(chain, q[None, :], _scene_arrays(chain, scene), np.inf)[0])
     return CollisionResult(colliding=not clear >= clearance, min_clearance=clear)
 
 
@@ -252,7 +333,7 @@ def fitness(candidate: Trajectory | np.ndarray, chain: KinematicChain,
         )
     if waypoints.shape[0] < 2:
         raise DimensionMismatch("trajectory needs at least start and goal rows")
-    return _breakdown(waypoints, chain, _scene_arrays(scene), config)
+    return _breakdown(waypoints, chain, _scene_arrays(chain, scene), config)
 
 
 def _breakdown(waypoints: np.ndarray, chain: KinematicChain, arrays,
@@ -272,7 +353,7 @@ def recheck_feasible(trajectory: Trajectory, chain: KinematicChain, scene: Scene
                      config: PsoConfig, resolution_factor: int = 4) -> bool:
     """Re-validate a trajectory at a finer interpolation resolution."""
     waypoints = np.asarray(trajectory.waypoints, dtype=float)
-    counts = _score(waypoints[None], chain, _scene_arrays(scene), config,
+    counts = _score(waypoints[None], chain, _scene_arrays(chain, scene), config,
                     config.clearance, SAMPLES_PER_SEGMENT * resolution_factor)[-1]
     return not bool(counts[0])
 
@@ -299,7 +380,7 @@ def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
             raise InfeasibleEndpoints(
                 f"{name} configuration {q.tolist()} is not finite or outside "
                 f"the joint limits")
-    arrays = _scene_arrays(scene)
+    arrays = _scene_arrays(chain, scene)
     endpoint_clear = _clearance(chain, np.vstack([start, goal]), arrays, np.inf)
     for name, clear in zip(("start", "goal"), endpoint_clear):
         if clear < config.clearance:

@@ -216,7 +216,7 @@ def test_criterion_09_paper_success_rate(run_config, harvest_target,
     start = time.monotonic()
     sigma = calibrate_noise(harvest_target, run_config.arm, run_config.scene,
                             run_config.pso, run_config.pick_cycle, 0.80,
-                            trials_per_eval=1000)
+                            trials_per_eval=1000, plans=harvest_plans)
     fresh = replace(run_config.pick_cycle, pose_noise_sigma=sigma,
                     seed=987654321)
     summary = monte_carlo(harvest_target, run_config.arm, run_config.scene,

@@ -111,6 +111,16 @@ def test_solve_mechanism_nan_step(tmp_path, capsys):
     assert "theta_step" in _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("step", ["1e-320", "1e-300"])
+def test_solve_mechanism_unbounded_step(tmp_path, capsys, step):
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["--quiet", "--out", str(out), "solve-mechanism",
+                     "--step", step])
+    assert code == 1
+    assert not out.exists()
+    assert "theta_step" in _assert_one_line_error(capsys)
+
+
 @pytest.mark.parametrize("flag, value", [
     pytest.param("--p-min", "nan", id="nan-p-min"),
     pytest.param("--p-max", "inf", id="inf-p-max"),
@@ -121,7 +131,8 @@ def test_torque_curve_non_finite_force(tmp_path, capsys, flag, value):
                      "--theta", "45", flag, value])
     assert code == 1
     assert not out.exists()
-    assert "force_p" in _assert_one_line_error(capsys)
+    bound = flag[2:].replace("-", "_")
+    assert f"harvestcell: {bound} must be finite" in _assert_one_line_error(capsys)
 
 
 def test_invalid_yaml_fails_with_one_line(tmp_path, capsys):

@@ -396,6 +396,20 @@ def test_calibrated_sigma_reproduces_order_statistic_count(
     assert summary.outcome_counts["success"] == round(rate * trials)
 
 
+def test_calibrate_noise_reuses_given_plans(monkeypatch, run_config,
+                                            harvest_target, harvest_plans):
+    plan_calls = _counting(monkeypatch, harvest, "plan_cycle")
+    sigma = calibrate_noise(harvest_target, run_config.arm, run_config.scene,
+                            run_config.pso, run_config.pick_cycle, 0.80,
+                            trials_per_eval=1000, plans=harvest_plans)
+    assert plan_calls == []
+    monkeypatch.setattr(harvest, "plan_cycle", lambda *args: harvest_plans)
+    assert sigma == calibrate_noise(harvest_target, run_config.arm,
+                                    run_config.scene, run_config.pso,
+                                    run_config.pick_cycle, 0.80,
+                                    trials_per_eval=1000)
+
+
 def test_calibrate_noise_rejects_offset_outside_cut_zone(monkeypatch,
                                                          run_config,
                                                          harvest_target,

@@ -341,6 +341,24 @@ def test_sweep_rejects_step_not_positive(params, step):
         list(sweep_positions(params, 0.0, 120.0, step))
 
 
+@pytest.mark.parametrize("step", [1e-320, 1e-300, 1e-4])
+def test_sweep_rejects_unbounded_grid(params, step):
+    # 1e-320: (end - start) / step overflows; 1e-4: 1.2e6 angles
+    with pytest.raises(ValueError, match="theta_step"):
+        next(sweep_positions(params, 0.0, 120.0, step))
+
+
+@pytest.mark.parametrize("p_min, p_max, name", [
+    (math.nan, 20.0, "p_min"),
+    (-1.0, 20.0, "p_min"),
+    (0.0, math.inf, "p_max"),
+    (0.0, math.nan, "p_max"),
+])
+def test_force_torque_curve_rejects_bad_bound(params, p_min, p_max, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        force_torque_curve(params, 45.0, p_min, p_max, 5)
+
+
 def test_sweep_ends_exactly_at_end(params):
     thetas = [theta for theta, _ in sweep_positions(params, 0.2, 120.0, 0.1)]
     assert len(thetas) == 1199

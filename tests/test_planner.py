@@ -1,13 +1,15 @@
+import hashlib
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from harvestcell.arm import link_points, solve_ik_point
+from harvestcell import planner
+from harvestcell.arm import Joint, link_points, solve_ik_point
 from harvestcell.errors import (ConfigError, DimensionMismatch,
                                 InfeasibleEndpoints, NoFeasibleFound)
-from harvestcell.geometry import segment_point_distance
+from harvestcell.geometry import segment_point_distance, segment_segment_distance
 from harvestcell.planner import (Aabb, Capsule, PsoConfig, Scene, Sphere,
                                  _clearance, _scene_arrays, collision_check,
                                  fitness, plan_trajectory, recheck_feasible)
@@ -81,24 +83,47 @@ def test_collision_min_clearance_matches_sampling_oracle(chain):
         assert got <= best + 1e-12
 
 
+def _pairs_spy(monkeypatch):
+    """Count the (segment, obstacle) pairs the planner sends to the exact
+    distance kernels."""
+    pairs = []
+    for name in ("segment_point_distance", "segment_segment_distance"):
+        kernel = getattr(planner, name)
+
+        def spy(seg_a, *args, kernel=kernel):
+            pairs.append(len(seg_a))
+            return kernel(seg_a, *args)
+
+        monkeypatch.setattr(planner, name, spy)
+    return pairs
+
+
 @pytest.mark.parametrize("threshold", [0.0, 0.015])
-def test_broad_phase_flags_exactly_the_close_configurations(chain, threshold):
-    # obstacles clustered in front of the arm, so the bounding-ball broad
-    # phase prunes part of the segments; configurations cover the limits
+def test_broad_phase_flags_exactly_the_close_configurations(chain, threshold,
+                                                            monkeypatch):
+    # obstacles clustered in front of the arm, so the per-pair link-ball
+    # bound culls part of the pairs; configurations cover the limits. The
+    # last scene holds a long capsule, whose own bounding ball would reach
+    # most links.
     rng = np.random.default_rng(11)
     lo, hi = chain.limit_arrays()
     box = (np.array([0.1, -0.3, 0.1]), np.array([0.5, 0.3, 0.5]))
+    branch = Capsule(p0=np.array([0.33, -0.28, 0.30]),
+                     p1=np.array([0.36, 0.28, 0.34]), radius=0.015)
     pruned = 0
-    for trial in range(5):
+    for trial in range(6):
         spheres = tuple(Sphere(center=rng.uniform(*box),
                                radius=float(rng.uniform(0.04, 0.1)))
                         for _ in range(4))
         capsules = tuple(Capsule(p0=rng.uniform(*box), p1=rng.uniform(*box),
                                  radius=float(rng.uniform(0.01, 0.04)))
                          for _ in range(2))
+        if trial == 5:
+            capsules = (branch,)
         scene = Scene(spheres=spheres, capsules=capsules, workspace_bounds=BOUNDS)
+        arrays = _scene_arrays(chain, scene)
         qs = rng.uniform(lo, hi, size=(200, chain.n_joints))
-        got = _clearance(chain, qs, _scene_arrays(scene), threshold)
+        got = _clearance(chain, qs, arrays, threshold)
         exact = np.array([collision_check(chain, q, scene).min_clearance for q in qs])
         close = exact < threshold
         assert 0 < close.sum() < len(qs)
@@ -106,7 +131,82 @@ def test_broad_phase_flags_exactly_the_close_configurations(chain, threshold):
         assert np.array_equal(got[close], exact[close])
         assert np.all(got[~close] <= exact[~close])
         pruned += int(np.sum(got[~close] < exact[~close]))
+        # a close configuration still gets exact distances, yet only on the
+        # pairs its bound could not rule out
+        all_pairs = arrays.reach.size
+        counts = []
+        for q in qs[close][:10]:
+            pairs = _pairs_spy(monkeypatch)
+            one = _clearance(chain, q[None], arrays, threshold)[0]
+            monkeypatch.undo()
+            assert one == collision_check(chain, q, scene).min_clearance
+            counts.append(sum(pairs))
+        assert 0 < min(counts) < all_pairs
     assert pruned > 0, "broad phase never pruned; the test would be vacuous"
+
+
+def _reference_clearance(chain, q, scene):
+    """Per-link minimum clearance from the scalar FK and the distance
+    primitives, with no cull and no static links."""
+    pts = link_points(chain, q)
+    seg_a, seg_b = pts[:-1], pts[1:]
+    per_link = [segment_point_distance(seg_a, seg_b, s.center) - s.radius
+                for s in scene.spheres]
+    per_link += [segment_segment_distance(seg_a, seg_b, c.p0, c.p1) - c.radius
+                 for c in scene.capsules]
+    return np.min(per_link, axis=0)
+
+
+def _chain_variant(chain, name):
+    joints = chain.joints
+    if name == "two-z-joints":
+        # a second joint about z, lifted along z: links 0 and 1 stay still
+        lift = Joint(axis=np.array([0.0, 0.0, 1.0]),
+                     offset=np.array([0.0, 0.0, 0.05]), limits=(-1.0, 1.0))
+        joints = joints[:1] + (lift,) + joints[1:]
+    elif name == "off-axis-offset":
+        # joint 1 sits off joint 0's axis, so joint 0 swings it
+        joints = joints[:1] + (replace(joints[1], offset=np.array(
+            [0.03, 0.0, 0.04])),) + joints[2:]
+    return replace(chain, joints=joints, home_q=None)
+
+
+@pytest.mark.parametrize("variant, static", [
+    ("shipped", 1), ("two-z-joints", 2), ("off-axis-offset", 0)])
+def test_static_links_checked_once(chain, variant, static):
+    chain = _chain_variant(chain, variant)
+    # obstacles beside the base column, where static links run, and one
+    # branch away from it
+    scene = Scene(spheres=(Sphere(center=np.array([0.06, 0.0, 0.14]), radius=0.02),
+                           Sphere(center=np.array([-0.05, 0.02, 0.19]),
+                                  radius=0.02)),
+                  capsules=(Capsule(p0=np.array([0.3, -0.3, 0.3]),
+                                    p1=np.array([0.35, 0.3, 0.35]), radius=0.015),),
+                  workspace_bounds=BOUNDS)
+    arrays = _scene_arrays(chain, scene)
+    assert arrays.first_moving == static
+    lo, hi = chain.limit_arrays()
+    qs = np.random.default_rng(4).uniform(lo, hi, size=(300, chain.n_joints))
+    qs[:3, 0] = [np.nan, np.inf, -np.inf]
+    qs[3, -1] = np.nan
+    with np.errstate(invalid="ignore"):  # sin(inf)
+        got = _clearance(chain, qs, arrays, np.inf)
+        cut = _clearance(chain, qs, arrays, 0.03)
+    assert np.all(np.isnan(got[:4]))
+    single = [collision_check(chain, q, scene).min_clearance for q in qs[4:]]
+    assert np.array_equal(got[4:], single)
+    per_link = np.array([_reference_clearance(chain, q, scene) for q in qs[4:]])
+    np.testing.assert_allclose(got[4:], per_link.min(axis=1), rtol=0, atol=1e-12)
+    if static:
+        # the static links are the nearest ones in some configurations, so
+        # dropping them would change the answer
+        nearest = per_link[:, :static].min(axis=1)
+        assert np.any(nearest < per_link[:, static:].min(axis=1))
+    assert np.all(np.isnan(cut[:4]))
+    close = got[4:] < 0.03
+    assert 0 < close.sum() < len(close)
+    assert np.array_equal(cut[4:][close], got[4:][close])
+    assert np.all((0.03 <= cut[4:][~close]) & (cut[4:][~close] <= got[4:][~close]))
 
 
 def _straight_trajectory(start, goal, n_inner=1):
@@ -221,6 +321,22 @@ def test_plan_deterministic(chain, run_config):
     assert np.array_equal(first.waypoints, second.waypoints)
     assert first.gbest_trace == second.gbest_trace
     assert first.fitness == second.fitness
+
+
+def test_plan_trajectory_bytes_pinned(chain, run_config):
+    # SHA-256 of a small-swarm approach plan on the shipped scene whose
+    # first gbest still collides, taken before the per-pair cull; a change
+    # that claims the same answers faster must keep it (numpy 2.x, x86-64)
+    goal = solve_ik_point(chain, np.array([0.45, 0.0, 0.32]),
+                          np.array([0.0, 0.0, 1.0]), chain.home_q)
+    traj = plan_trajectory(chain, chain.home_q, goal, run_config.scene, FAST_PSO)
+    digest = hashlib.sha256()
+    digest.update(traj.waypoints.tobytes())
+    digest.update(np.float64(traj.fitness).tobytes())
+    digest.update(np.array(traj.gbest_trace).tobytes())
+    assert traj.gbest_trace[0] > FAST_PSO.collision_penalty
+    assert digest.hexdigest() == (
+        "eda36a5d5a8c3bc228cf5309782151fb285817874be5b48a073265b79df07fa2")
 
 
 def test_plan_trace_monotone_and_lower_bound(chain, run_config):
