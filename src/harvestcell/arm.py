@@ -3,15 +3,18 @@ damped-least-squares inverse kinematics.
 
 The chain is purely data-driven: each revolute joint has a rotation axis and
 an origin offset expressed in its parent frame. Units are metres and radians.
-A 5-DOF arm cannot track full 6-DOF poses, so IK tracks position plus the
-direction of a tool "approach axis" (two orientation DOF); the roll about
-that axis is left free.
+Every FK result, for one configuration or a batch, comes from one batched
+kernel, `_frames`, over the chain's `compiled` arrays. A 5-DOF arm cannot
+track full 6-DOF poses, so IK tracks position plus the direction of a tool
+"approach axis" (two orientation DOF); the roll about it is left free.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,78 +156,108 @@ class KinematicChain:
             )
         return q
 
+    @functools.cached_property
+    def compiled(self) -> CompiledChain:
+        """The chain as stacked arrays, built on first use and kept on the
+        instance (the ndarray fields make the chain unhashable, so no
+        lru_cache can key on it); its arrays must not change after that."""
+        axes = np.array([j.axis for j in self.joints], dtype=float)
+        k = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]
+                      for x, y, z in axes])
+        offsets = np.array([j.offset for j in self.joints]
+                           + [self.tool_offset.translation], dtype=float)
+        first_moving = _static_link_count(axes, offsets[1:])
+        compiled = CompiledChain(
+            offsets, axes, k, np.array([m @ m for m in k]), self.base_frame.matrix(),
+            np.asarray(self.base_frame.translation, dtype=float),
+            self.tool_offset.matrix(), first_moving, static_points=None)
+        # the static points are the same at every q, so take them at q = 0
+        points = _frames(compiled, np.zeros((1, self.n_joints)))[0][0]
+        return compiled._replace(static_points=points[:first_moving + 1])
 
-def _fk_frames(chain: KinematicChain, q: np.ndarray):
-    """Accumulate frames along the chain.
 
-    Returns (joint origins (N,3), joint axes in base frame (N,3),
-    tool position (3,), tool rotation (3,3)).
-    """
-    rot = chain.base_frame.matrix()
-    pos = np.asarray(chain.base_frame.translation, dtype=float).copy()
-    origins = np.empty((chain.n_joints, 3))
-    axes = np.empty((chain.n_joints, 3))
-    for i, joint in enumerate(chain.joints):
-        pos = pos + rot @ np.asarray(joint.offset, dtype=float)
-        origins[i] = pos
-        axes[i] = rot @ np.asarray(joint.axis, dtype=float)
-        rot = rot @ rotation_about_axis(np.asarray(joint.axis, dtype=float), q[i])
-    tool_pos = pos + rot @ np.asarray(chain.tool_offset.translation, dtype=float)
-    tool_rot = rot @ chain.tool_offset.matrix()
-    return origins, axes, tool_pos, tool_rot
+class CompiledChain(NamedTuple):
+    """A chain's constants, stacked per joint for `_frames`. Link i runs from
+    joint origin i to the next point (the tool point for the last link); in
+    joint i's rotated frame it is offsets[i + 1], the link vectors offsets[1:]."""
+
+    offsets: np.ndarray         # (N+1, 3) joint offsets, then the tool's
+    axes: np.ndarray            # (N, 3) unit joint axes, parent frame
+    k: np.ndarray               # (N, 3, 3) cross-product matrix of each axis
+    k2: np.ndarray              # (N, 3, 3) its square
+    base_rot: np.ndarray        # (3, 3)
+    base_pos: np.ndarray        # (3,)
+    tool_rot: np.ndarray        # (3, 3)
+    first_moving: int           # links before this one do not move with q
+    static_points: np.ndarray   # (first_moving + 1, 3) their end points
+
+
+def _static_link_count(axes: np.ndarray, links: np.ndarray) -> int:
+    """Leading links whose end points do not move with q. Point 0 never
+    moves; point i+1 keeps still while every joint up to i turns about
+    joint 0's axis and link i is exactly parallel to that axis (cross
+    products exactly zero), since a rotation about the axis leaves both
+    unchanged."""
+    still = ~(np.cross(axes, axes[0]).any(1) | np.cross(links, axes[0]).any(1))
+    return int(np.cumprod(still).sum())
+
+
+def _frames(compiled: CompiledChain, qs: np.ndarray):
+    """The one forward-kinematics kernel. For a (B, N) batch of joint
+    vectors it returns the points (B, N+1, 3), joint origins then the tool
+    point, the joint axes in the base frame (B, N, 3) and the tool rotations
+    (B, 3, 3). The rotation update R <- R (I + sin(q) K + (1-cos(q)) K^2) is
+    expanded to R + sin(q) RK + (1-cos(q)) RK^2, a few (3B x 3)(3 x 3)
+    products per joint instead of B tiny matmuls. A row that is not all
+    finite comes out NaN, without a warning."""
+    batch, n = qs.shape
+    with np.errstate(invalid="ignore"):  # sin(inf) is NaN
+        sin = np.sin(qs)[:, :, None, None]
+        vers = (1.0 - np.cos(qs))[:, :, None, None]
+    rot = np.broadcast_to(compiled.base_rot, (batch, 3, 3)).copy()
+    pos = compiled.base_pos
+    points = np.empty((batch, n + 1, 3))
+    axes = np.empty((batch, n, 3))
+    for i in range(n):
+        flat = rot.reshape(-1, 3)
+        pos = pos + flat.dot(compiled.offsets[i]).reshape(batch, 3)
+        points[:, i] = pos
+        axes[:, i] = flat.dot(compiled.axes[i]).reshape(batch, 3)
+        rot_k = flat.dot(compiled.k[i]).reshape(batch, 3, 3)
+        rot_k2 = flat.dot(compiled.k2[i]).reshape(batch, 3, 3)
+        rot += np.multiply(rot_k, sin[:, i], out=rot_k)  # in place: fewer temporaries
+        rot += np.multiply(rot_k2, vers[:, i], out=rot_k2)
+    flat = rot.reshape(-1, 3)
+    points[:, n] = pos + flat.dot(compiled.offsets[n]).reshape(batch, 3)
+    return points, axes, flat.dot(compiled.tool_rot).reshape(batch, 3, 3)
 
 
 def forward_kinematics(chain: KinematicChain, q) -> Pose:
     """Tool pose for the given joint vector (rad)."""
-    q = chain.check_q(q)
-    _, _, tool_pos, tool_rot = _fk_frames(chain, q)
-    return Pose(position=tool_pos, orientation=matrix_to_quat(tool_rot))
+    points, _, tool_rot = _frames(chain.compiled, chain.check_q(q)[None])
+    return Pose(position=points[0, -1], orientation=matrix_to_quat(tool_rot[0]))
 
 
 def link_points(chain: KinematicChain, q) -> np.ndarray:
     """Polyline approximating the arm body: joint origins then the tool point."""
-    q = chain.check_q(q)
-    origins, _, tool_pos, _ = _fk_frames(chain, q)
-    return np.vstack([origins, tool_pos])
+    return _frames(chain.compiled, chain.check_q(q)[None])[0][0]
 
 
 def link_points_batch(chain: KinematicChain, qs: np.ndarray) -> np.ndarray:
-    """Vectorized link_points for a (B, N) batch of joint vectors -> (B, N+1, 3).
-
-    The per-joint rotation update R <- R (I + sin(q) K + (1-cos(q)) K^2)
-    is expanded so each step is a single (3B x 3)(3 x 3) matrix product
-    instead of B tiny matmuls.
-    """
+    """link_points for a (B, N) batch of joint vectors -> (B, N+1, 3)."""
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != chain.n_joints:
         raise DimensionMismatch(
             f"expected (B, {chain.n_joints}) joint batch, got shape {qs.shape}"
         )
-    batch = qs.shape[0]
-    rot = np.broadcast_to(chain.base_frame.matrix(), (batch, 3, 3)).copy()
-    pos = np.broadcast_to(
-        np.asarray(chain.base_frame.translation, dtype=float), (batch, 3)).copy()
-    points = np.empty((batch, chain.n_joints + 1, 3))
-    for i, joint in enumerate(chain.joints):
-        offset = np.asarray(joint.offset, dtype=float)
-        pos = pos + rot.reshape(-1, 3).dot(offset).reshape(batch, 3)
-        points[:, i] = pos
-        x, y, z = np.asarray(joint.axis, dtype=float)
-        k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-        rot_k = rot.reshape(-1, 3).dot(k).reshape(batch, 3, 3)
-        rot_k2 = rot.reshape(-1, 3).dot(k @ k).reshape(batch, 3, 3)
-        s = np.sin(qs[:, i])[:, None, None]
-        c = (1.0 - np.cos(qs[:, i]))[:, None, None]
-        rot = rot + s * rot_k + c * rot_k2
-    tool_t = np.asarray(chain.tool_offset.translation, dtype=float)
-    points[:, -1] = pos + rot.reshape(-1, 3).dot(tool_t).reshape(batch, 3)
-    return points
+    return _frames(chain.compiled, qs)[0]
 
 
-def _frames_jacobian(origins, axes, tool_pos) -> np.ndarray:
-    """Geometric Jacobian from the frames `_fk_frames` returns."""
+def _frames_jacobian(points: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Geometric Jacobian from one configuration's `_frames` output: the
+    (N+1, 3) joint origins and tool point, and the (N, 3) joint axes."""
     jac = np.empty((6, axes.shape[0]))
-    jac[:3] = np.cross(axes, tool_pos - origins).T
+    jac[:3] = np.cross(axes, points[-1] - points[:-1]).T
     jac[3:] = axes.T
     return jac
 
@@ -235,9 +268,8 @@ def jacobian(chain: KinematicChain, q) -> np.ndarray:
     Column i for a revolute joint is (z_i x (p_tool - p_i), z_i) expressed
     in the base frame.
     """
-    q = chain.check_q(q)
-    origins, axes, tool_pos, _ = _fk_frames(chain, q)
-    return _frames_jacobian(origins, axes, tool_pos)
+    points, axes, _ = _frames(chain.compiled, chain.check_q(q)[None])
+    return _frames_jacobian(points[0], axes[0])
 
 
 @dataclass(frozen=True)
@@ -270,13 +302,7 @@ def _approach_error(tool_rot: np.ndarray, chain: KinematicChain,
     angle = math.atan2(s, float(np.clip(np.dot(current, target_axis), -1.0, 1.0)))
     if s < 1e-12:
         # parallel or antiparallel; antiparallel has no unique axis, pick one
-        if angle < 1e-12:
-            return np.zeros(3)
-        helper = np.array([1.0, 0.0, 0.0])
-        if abs(current[0]) > 0.9:
-            helper = np.array([0.0, 1.0, 0.0])
-        axis = np.cross(current, helper)
-        return axis / np.linalg.norm(axis) * angle
+        return np.zeros(3) if angle < 1e-12 else _any_perpendicular(current) * angle
     return cross / s * angle
 
 
@@ -310,11 +336,11 @@ def inverse_kinematics(chain: KinematicChain, target: Pose, seed_q,
     target_axis = target_approach_axis(target, chain) if track_orientation else None
 
     def residual(qv: np.ndarray):
-        origins, axes, tool_pos, tool_rot = _fk_frames(chain, qv)
-        jac_full = _frames_jacobian(origins, axes, tool_pos)
-        err_pos = target_pos - tool_pos
+        points, axes, tool_rot = _frames(chain.compiled, qv[None])
+        jac_full = _frames_jacobian(points[0], axes[0])
+        err_pos = target_pos - points[0, -1]
         if track_orientation:
-            err_rot = _approach_error(tool_rot, chain, target_axis)
+            err_rot = _approach_error(tool_rot[0], chain, target_axis)
             return jac_full, np.concatenate([err_pos, err_rot])
         return jac_full[:3], err_pos
 
@@ -335,15 +361,13 @@ def inverse_kinematics(chain: KinematicChain, target: Pose, seed_q,
         dq = np.linalg.solve(jac_cur.T @ jac_cur + lam * lam * eye,
                              jac_cur.T @ err)
         step = 1.0
-        improved = False
         for _ in range(12):
             q_new = np.clip(q + step * dq, lo, hi)
             jac_new, err_new = residual(q_new)
             if np.linalg.norm(err_new) < np.linalg.norm(err):
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:  # no step shrank the residual
             break
         q, jac_cur, err = q_new, jac_new, err_new
         trace.append(float(np.linalg.norm(err)))

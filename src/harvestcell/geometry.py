@@ -1,10 +1,12 @@
 """Exact distance primitives between points, segments and swept shapes.
 
 All functions broadcast over leading dimensions so the planner can evaluate
-whole swarms of arm configurations in one call. Distances are computed from
-clamped closest-point parameters in expanded (dot-product) form, which keeps
-every intermediate at the broadcast's scalar shape rather than carrying a
-trailing 3-vector axis.
+whole swarms of arm configurations in one call. Closest-point parameters are
+clamped as in Ericson, Real-Time Collision Detection (2004), 5.1.9, and the
+distance is the length of the residual w - t d or w + s u - t v, formed from
+explicit difference vectors. At contact it cancels exactly: a segment and its
+own end point, and segments meeting at a start point or end to start, are 0.0
+apart; segments sharing only their far ends (q1 = q2), up to rounding of s, t.
 """
 
 from __future__ import annotations
@@ -28,14 +30,11 @@ def segment_point_distance(seg_a: np.ndarray, seg_b: np.ndarray,
     seg_b = np.asarray(seg_b, dtype=float)
     point = np.asarray(point, dtype=float)
     d = seg_b - seg_a
+    w = point - seg_a
     dd = _dot(d, d)
-    # w = point - seg_a enters only through dot products
-    wd = _dot(point, d) - _dot(seg_a, d)
-    ww = _dot(point, point) - 2.0 * _dot(point, seg_a) + _dot(seg_a, seg_a)
-    t = np.clip(np.where(dd > _PARALLEL_EPS, wd / np.where(dd > 0, dd, 1.0), 0.0),
-                0.0, 1.0)
-    dist_sq = ww - t * (2.0 * wd - t * dd)
-    return np.sqrt(np.maximum(dist_sq, 0.0))
+    t = np.clip(_dot(w, d) / np.where(dd > _PARALLEL_EPS, dd, np.inf), 0.0, 1.0)
+    r = w - t[..., None] * d
+    return np.sqrt(_dot(r, r))
 
 
 def segment_segment_distance(p1: np.ndarray, q1: np.ndarray,
@@ -53,14 +52,12 @@ def segment_segment_distance(p1: np.ndarray, q1: np.ndarray,
     q2 = np.asarray(q2, dtype=float)
     u = q1 - p1
     v = q2 - p2
+    w = p1 - p2
     a = _dot(u, u)
     b = _dot(u, v)
     c = _dot(v, v)
-    # w = p1 - p2 enters only through dot products, so expand them instead
-    # of materializing w with a trailing vector axis
-    d = _dot(u, p1) - _dot(u, p2)
-    e = _dot(v, p1) - _dot(v, p2)
-    ww = _dot(p1, p1) - 2.0 * _dot(p1, p2) + _dot(p2, p2)
+    d = _dot(u, w)
+    e = _dot(v, w)
 
     den = a * c - b * b
     parallel = den < _PARALLEL_EPS
@@ -99,7 +96,5 @@ def segment_segment_distance(p1: np.ndarray, q1: np.ndarray,
     s = np.where(v_degenerate, np.clip(-d / safe_a, 0.0, 1.0), s)
     t = np.where(v_degenerate, 0.0, t)
 
-    # |w + s u - t v|^2 expanded in the precomputed dot products
-    dist_sq = (ww + s * s * a + t * t * c
-               + 2.0 * (s * d - t * e - s * t * b))
-    return np.sqrt(np.maximum(dist_sq, 0.0))
+    r = w + s[..., None] * u - t[..., None] * v
+    return np.sqrt(_dot(r, r))

@@ -15,10 +15,12 @@ bound falls short of `cutoff` get exact distances (Ericson, Real-Time
 Collision Detection, 2004, ch. 4). `collision_check` passes cutoff=inf, so
 its answer is exact; scoring passes its collision threshold. One scorer,
 `_score`, interpolates and scores batches of polylines for the swarm,
-`fitness` and `recheck_feasible`. `_scene_arrays` compiles the scene once
-per public call, together with the chain's link half-lengths and the exact
-clearance of the leading links that do not move with q, so those are
-measured once per call instead of once per configuration.
+`fitness` and `recheck_feasible`. Link points come from `arm`'s one
+forward-kinematics kernel, `link_points_batch`, and the link vectors and
+the fixed end points of the leading links that do not move with q from the
+chain's compiled form. `_scene_arrays` compiles the scene once per public
+call against those: link half-lengths, and the exact clearance of the
+static links, measured once per call instead of once per configuration.
 """
 
 from __future__ import annotations
@@ -168,27 +170,8 @@ class _SceneArrays(NamedTuple):
     core_b: np.ndarray          # (M, 3)
     radii: np.ndarray           # (M,)
     n_spheres: int
-    first_moving: int           # links before this one do not move with q
     reach: np.ndarray           # (M, L)
     static_clearance: float     # exact, over the static links; inf if none
-
-
-def _static_link_count(chain: KinematicChain, offsets: np.ndarray) -> int:
-    """Leading links whose end points do not move with q. Point 0 never
-    moves; point i+1 keeps still while every joint up to i turns about
-    joint 0's axis and link i's offset is exactly parallel to that axis,
-    since a rotation about the axis leaves both unchanged."""
-    def parallel(u, v) -> bool:  # cross product exactly zero
-        (a, b, c), (x, y, z) = u, v
-        return b * z == c * y and c * x == a * z and a * y == b * x
-
-    axis = chain.joints[0].axis
-    count = 0
-    for joint, offset in zip(chain.joints, offsets):
-        if not (parallel(joint.axis, axis) and parallel(offset, axis)):
-            break
-        count += 1
-    return count
 
 
 def _scene_arrays(chain: KinematicChain, scene: Scene) -> _SceneArrays | None:
@@ -201,38 +184,34 @@ def _scene_arrays(chain: KinematicChain, scene: Scene) -> _SceneArrays | None:
     core_b = np.array(centers + [c.p1 for c in scene.capsules], dtype=float)
     radii = np.array([s.radius for s in scene.spheres]
                      + [c.radius for c in scene.capsules], dtype=float)
-    # link i spans joint i+1's offset, the last link the tool translation
-    offsets = np.array([j.offset for j in chain.joints[1:]]
-                       + [chain.tool_offset.translation], dtype=float)
-    half = 0.5 * np.linalg.norm(offsets, axis=1)
+    compiled = chain.compiled
+    half = 0.5 * np.linalg.norm(compiled.offsets[1:], axis=1)  # link vectors
     reach = radii[:, None] + half[None, :] + _BOUND_SLACK
-    first_moving = _static_link_count(chain, offsets)
-    arrays = _SceneArrays(core_a, core_b, radii, len(scene.spheres), first_moving,
+    first_moving = compiled.first_moving
+    arrays = _SceneArrays(core_a, core_b, radii, len(scene.spheres),
                           reach[:, first_moving:], np.inf)
     if first_moving:
-        # the static points are the same at every q, so take them at q = 0
-        pts = link_points_batch(chain, np.zeros((1, chain.n_joints)))
-        static = _link_clearance(pts[:, :first_moving + 1], 0,
+        static = _link_clearance(compiled.static_points[None],
                                  reach[:, :first_moving], arrays, np.inf)
         arrays = arrays._replace(static_clearance=float(static.min()))
     return arrays
 
 
-def _link_clearance(pts: np.ndarray, first: int, reach: np.ndarray,
-                    arrays: _SceneArrays, cutoff: float) -> np.ndarray:
+def _link_clearance(pts: np.ndarray, reach: np.ndarray, arrays: _SceneArrays,
+                    cutoff: float) -> np.ndarray:
     """(M*L, B) signed clearance of each (obstacle, link) pair, for the L
-    links from point `first` on of a (B, P, 3) polyline batch: exact, or,
-    where a cheaper lower bound already reaches `cutoff`, that bound. The
-    bound is the distance from the link's midpoint to the obstacle's core
-    minus `reach` (M, L), since no point of the link lies farther than its
-    half-length from the midpoint."""
+    links of a (B, L+1, 3) polyline batch: exact, or, where a cheaper lower
+    bound already reaches `cutoff`, that bound. The bound is the distance
+    from the link's midpoint to the obstacle's core minus `reach` (M, L),
+    since no point of the link lies farther than its half-length from the
+    midpoint."""
     batch = pts.shape[0]
     core_a = arrays.core_a
     caps = slice(arrays.n_spheres, None)
     # midpoints as (3, L*B): with the batch axis last, every broadcast
     # below runs over long rows
     ends = pts.transpose(2, 1, 0)
-    mid = np.add(ends[:, first:-1], ends[:, first + 1:], order="C").reshape(3, -1)
+    mid = np.add(ends[:, :-1], ends[:, 1:], order="C").reshape(3, -1)
     mid *= 0.5
     # midpoint-to-core distances in the expanded dot-product form of
     # geometry.segment_point_distance, the dot products as two matmuls; a
@@ -250,8 +229,8 @@ def _link_clearance(pts: np.ndarray, first: int, reach: np.ndarray,
     pairs = np.flatnonzero(~(clear >= cutoff))  # NaN bounds too
     cols, rows = np.divmod(pairs, clear[0].size)
     links, configs = np.divmod(rows, batch)
-    seg_a = pts[configs, first + links]
-    seg_b = pts[configs, first + links + 1]
+    seg_a = pts[configs, links]
+    seg_b = pts[configs, links + 1]
     flat = clear.reshape(-1)
     sphere = cols < arrays.n_spheres
     on, at = sphere, cols[sphere]
@@ -273,8 +252,9 @@ def _clearance(chain: KinematicChain, qs: np.ndarray, arrays: _SceneArrays | Non
     finite = np.isfinite(qs).all(axis=1)
     if arrays is None:
         return np.where(finite, NO_OBSTACLE_CLEARANCE, np.nan)
-    pts = link_points_batch(chain, qs)          # (B, P, 3)
-    clear = _link_clearance(pts, arrays.first_moving, arrays.reach, arrays, cutoff)
+    pts = link_points_batch(chain, qs)          # (B, N+1, 3)
+    clear = _link_clearance(pts[:, chain.compiled.first_moving:], arrays.reach,
+                            arrays, cutoff)
     # row by row: min(axis=0) over these short columns is ~10x slower
     least = functools.reduce(np.minimum, clear,
                              np.full(qs.shape[0], arrays.static_clearance))

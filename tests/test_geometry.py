@@ -19,6 +19,10 @@ def test_point_distance_exact_cases():
     assert segment_point_distance(a, b, np.array([5.0, 4.0, 0.0])) == 5.0
     # degenerate segment is the point a
     assert segment_point_distance(a, a, np.array([0.0, 7.0, 0.0])) == 7.0
+    # contact: a segment's own end points, at arm scale
+    a, b = np.random.default_rng(1).normal(0.0, 0.3, (2, 1000, 3))
+    assert np.all(segment_point_distance(a, b, b) == 0.0)
+    assert np.all(segment_point_distance(a, b, a) == 0.0)
 
 
 def test_point_distance_against_sampling():
@@ -82,6 +86,12 @@ def test_segment_distance_exact_cases():
     # collinear, gap 1
     assert segment_segment_distance(
         z, ex, np.array([2.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0])) == 1.0
+    # contact: segments meeting at a start point or end to start, as
+    # consecutive links of an arm polyline do
+    a, b, c = np.random.default_rng(3).normal(0.0, 0.3, (3, 1000, 3))
+    assert np.all(segment_segment_distance(a, b, b, c) == 0.0)
+    assert np.all(segment_segment_distance(b, a, c, b) == 0.0)
+    assert np.all(segment_segment_distance(a, b, a, c) == 0.0)
 
 
 def test_segment_distance_degenerate_segments():

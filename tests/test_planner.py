@@ -184,14 +184,13 @@ def test_static_links_checked_once(chain, variant, static):
                                     p1=np.array([0.35, 0.3, 0.35]), radius=0.015),),
                   workspace_bounds=BOUNDS)
     arrays = _scene_arrays(chain, scene)
-    assert arrays.first_moving == static
+    assert chain.compiled.first_moving == static
     lo, hi = chain.limit_arrays()
     qs = np.random.default_rng(4).uniform(lo, hi, size=(300, chain.n_joints))
     qs[:3, 0] = [np.nan, np.inf, -np.inf]
     qs[3, -1] = np.nan
-    with np.errstate(invalid="ignore"):  # sin(inf)
-        got = _clearance(chain, qs, arrays, np.inf)
-        cut = _clearance(chain, qs, arrays, 0.03)
+    got = _clearance(chain, qs, arrays, np.inf)
+    cut = _clearance(chain, qs, arrays, 0.03)
     assert np.all(np.isnan(got[:4]))
     single = [collision_check(chain, q, scene).min_clearance for q in qs[4:]]
     assert np.array_equal(got[4:], single)
@@ -258,11 +257,13 @@ def test_fitness_counts_colliding_samples(chain, run_config):
 @pytest.mark.parametrize("shipped", [True, False], ids=["shipped", "empty"])
 def test_nan_configuration_collides(chain, run_config, shipped):
     scene = run_config.scene if shipped else EMPTY
-    q = np.array([np.nan, 0.0, 0.0, 0.0, 0.0])
-    result = collision_check(chain, q, scene, FAST_PSO.clearance)
-    assert result.colliding
-    assert np.isnan(result.min_clearance)
+    for bad in (np.nan, np.inf):  # neither warns on the way to NaN
+        q = np.array([bad, 0.0, 0.0, 0.0, 0.0])
+        result = collision_check(chain, q, scene, FAST_PSO.clearance)
+        assert result.colliding
+        assert np.isnan(result.min_clearance)
     # every sample of both segments next to a NaN waypoint is NaN
+    q = np.array([np.nan, 0.0, 0.0, 0.0, 0.0])
     waypoints = np.array([chain.home_q, q, chain.home_q])
     result = fitness(waypoints, chain, scene, FAST_PSO)
     assert result.colliding_samples == 2 * 20
@@ -326,9 +327,12 @@ def test_plan_deterministic(chain, run_config):
 def test_plan_trajectory_bytes_pinned(chain, run_config):
     # SHA-256 of a small-swarm approach plan on the shipped scene whose
     # first gbest still collides, taken before the per-pair cull; a change
-    # that claims the same answers faster must keep it (numpy 2.x, x86-64)
-    goal = solve_ik_point(chain, np.array([0.45, 0.0, 0.32]),
-                          np.array([0.0, 0.0, 1.0]), chain.home_q)
+    # that claims the same answers faster must keep it (numpy 2.x, x86-64).
+    # The goal is the IK answer for tool point (0.45, 0, 0.32) pointing up,
+    # written out so that the digest pins the planner alone, not IK rounding.
+    goal = np.array([float.fromhex(x) for x in (
+        "0x0.0p+0", "0x1.d78e2a5d92c20p-1", "-0x1.ba55f3bd2e759p-2",
+        "-0x1.07a8a6c0e3dc7p+1", "0x0.0p+0")])
     traj = plan_trajectory(chain, chain.home_q, goal, run_config.scene, FAST_PSO)
     digest = hashlib.sha256()
     digest.update(traj.waypoints.tobytes())
