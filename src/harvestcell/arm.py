@@ -167,10 +167,12 @@ class KinematicChain:
         offsets = np.array([j.offset for j in self.joints]
                            + [self.tool_offset.translation], dtype=float)
         first_moving = _static_link_count(axes, offsets[1:])
+        levers = np.cumsum(np.linalg.norm(offsets[1:], axis=1)[::-1])[::-1]
         compiled = CompiledChain(
             offsets, axes, k, np.array([m @ m for m in k]), self.base_frame.matrix(),
             np.asarray(self.base_frame.translation, dtype=float),
-            self.tool_offset.matrix(), first_moving, static_points=None)
+            self.tool_offset.matrix(), first_moving, static_points=None,
+            levers=levers)
         # the static points are the same at every q, so take them at q = 0
         points = _frames(compiled, np.zeros((1, self.n_joints)))[0][0]
         return compiled._replace(static_points=points[:first_moving + 1])
@@ -190,6 +192,7 @@ class CompiledChain(NamedTuple):
     tool_rot: np.ndarray        # (3, 3)
     first_moving: int           # links before this one do not move with q
     static_points: np.ndarray   # (first_moving + 1, 3) their end points
+    levers: np.ndarray          # (N,) link lengths from joint i out to the tool
 
 
 def _static_link_count(axes: np.ndarray, links: np.ndarray) -> int:

@@ -21,6 +21,16 @@ the fixed end points of the leading links that do not move with q from the
 chain's compiled form. `_scene_arrays` compiles the scene once per public
 call against those: link half-lengths, and the exact clearance of the
 static links, measured once per call instead of once per configuration.
+
+The swarm scores its fixed batch layout (particle x segment x sample) every
+iteration, and a particle moves little between iterations. So for each
+sample slot `plan_trajectory` keeps the configuration last checked there
+and its clearance, and a new sample is counted free without a check when
+that clearance minus sum_i |dq_i| * levers[i] still clears the threshold:
+turning joint i by dq_i moves no body point farther than |dq_i| times the
+link lengths from joint i out to the tool (`chain.compiled.levers`). The
+counts, and so the swarm's bytes, are those of checking every sample;
+`fitness`, `recheck_feasible` and `collision_check` still check every one.
 """
 
 from __future__ import annotations
@@ -38,7 +48,8 @@ from .geometry import segment_point_distance, segment_segment_distance
 
 NO_OBSTACLE_CLEARANCE = np.finfo(float).max
 SAMPLES_PER_SEGMENT = 20
-# covers rounding between a link's computed end points and its half-length
+# covers rounding in the lower bounds: a link's computed end points against
+# its half-length, and the swarm's lever-arm certificate
 _BOUND_SLACK = 1e-9
 
 
@@ -239,7 +250,7 @@ def _link_clearance(pts: np.ndarray, reach: np.ndarray, arrays: _SceneArrays,
     on, at = ~sphere, cols[~sphere]
     flat[pairs[on]] = segment_segment_distance(
         seg_a[on], seg_b[on], core_a[at], arrays.core_b[at]) - arrays.radii[at]
-    return clear.reshape(-1, batch)
+    return clear.reshape(reach.size, batch)
 
 
 def _clearance(chain: KinematicChain, qs: np.ndarray, arrays: _SceneArrays | None,
@@ -276,21 +287,43 @@ def collision_check(chain: KinematicChain, q, scene: Scene,
 
 
 def _score(paths: np.ndarray, chain: KinematicChain, arrays, config: PsoConfig,
-           clearance: float, samples_per_segment: int = SAMPLES_PER_SEGMENT):
+           clearance: float, samples_per_segment: int = SAMPLES_PER_SEGMENT,
+           refs: tuple[np.ndarray, np.ndarray] | None = None):
     """Per-polyline (score, path length, collision term, limit term,
     colliding samples) of a (B, W, N) batch. Each segment is sampled at
     t = 1/S ... S/S with S = samples_per_segment, so waypoints count once and
-    the first row not at all (its validity is the planner's precondition)."""
-    batch = paths.shape[0]
-    deltas = np.diff(paths, axis=1)
-    path_len = np.linalg.norm(deltas, axis=2).sum(axis=1)
+    the first row not at all (its validity is the planner's precondition).
+
+    `refs`, a pair of (R, N) configurations and (R,) clearances, holds for
+    each of the batch's R sample slots the configuration last checked there
+    and the lower bound `_clearance` gave for it. A sample whose bound from
+    its slot's reference already clears the threshold counts as free, which
+    is what checking it gives; the samples that are checked become their
+    slots' references, in place."""
+    batch, _, n = paths.shape
     lo, hi = chain.limit_arrays()
+    fractions = (np.arange(samples_per_segment) + 1.0) / samples_per_segment
+    with np.errstate(invalid="ignore"):  # inf waypoints make NaN samples
+        deltas = np.diff(paths, axis=1)
+        samples = (paths[:, :-1, None, :]
+                   + fractions[None, None, :, None] * deltas[:, :, None, :]
+                   ).reshape(-1, n)
+    path_len = np.linalg.norm(deltas, axis=2).sum(axis=1)
     limit_violation = (np.maximum(paths - hi, 0.0)
                        + np.maximum(lo - paths, 0.0)).sum(axis=(1, 2))
-    fractions = (np.arange(samples_per_segment) + 1.0) / samples_per_segment
-    samples = (paths[:, :-1, None, :]
-               + fractions[None, None, :, None] * deltas[:, :, None, :])
-    clear = _clearance(chain, samples.reshape(-1, paths.shape[2]), arrays, clearance)
+    if refs is None:
+        clear = _clearance(chain, samples, arrays, clearance)
+    else:
+        ref_q, ref_clear = refs
+        # joint i moves no body point farther than |dq_i| * levers[i], so
+        # the clearance falls by at most the weighted sum (Lipschitz bound)
+        with np.errstate(invalid="ignore"):
+            clear = ref_clear - np.abs(samples - ref_q) @ chain.compiled.levers
+        # a NaN bound never certifies
+        check = np.flatnonzero(~(clear >= clearance + _BOUND_SLACK))
+        clear[check] = ref_clear[check] = _clearance(chain, samples[check],
+                                                     arrays, clearance)
+        ref_q[check] = samples[check]
     counts = (~(clear >= clearance)).reshape(batch, -1).sum(axis=1)  # NaN collides
     collision_term = config.collision_penalty * counts
     limit_term = config.limit_penalty * limit_violation
@@ -370,6 +403,8 @@ def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
     w = config.waypoints_per_particle
     dims = w * n
     margin = config.clearance + config.penalty_margin
+    slots = config.swarm_size * (w + 1) * SAMPLES_PER_SEGMENT
+    refs = (np.zeros((slots, n)), np.full(slots, -np.inf))  # none checked yet
 
     def swarm_scores(flat: np.ndarray) -> np.ndarray:
         batch = flat.shape[0]
@@ -378,7 +413,7 @@ def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
             flat.reshape(batch, w, n),
             np.broadcast_to(goal, (batch, 1, n)),
         ], axis=1)                              # (B, W+2, N)
-        return _score(paths, chain, arrays, config, margin)[0]
+        return _score(paths, chain, arrays, config, margin, refs=refs)[0]
 
     # sampling box: per-joint span of {start, goal} inflated by 20%, clipped to limits
     box_lo = np.minimum(start, goal)

@@ -11,8 +11,9 @@ from harvestcell.errors import (ConfigError, DimensionMismatch,
                                 InfeasibleEndpoints, NoFeasibleFound)
 from harvestcell.geometry import segment_point_distance, segment_segment_distance
 from harvestcell.planner import (Aabb, Capsule, PsoConfig, Scene, Sphere,
-                                 _clearance, _scene_arrays, collision_check,
-                                 fitness, plan_trajectory, recheck_feasible)
+                                 _clearance, _scene_arrays, _score,
+                                 collision_check, fitness, plan_trajectory,
+                                 recheck_feasible)
 
 BOUNDS = Aabb(np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
 EMPTY = Scene(workspace_bounds=BOUNDS)
@@ -52,20 +53,24 @@ def test_collision_check_sphere_on_tool_point(chain):
     assert result.min_clearance == pytest.approx(-0.05, abs=1e-12)
 
 
+def _random_scene(rng):
+    spheres = tuple(Sphere(center=rng.uniform(-0.5, 0.5, 3),
+                           radius=float(rng.uniform(0.02, 0.2)))
+                    for _ in range(3))
+    capsules = tuple(Capsule(p0=rng.uniform(-0.5, 0.5, 3),
+                             p1=rng.uniform(-0.5, 0.5, 3),
+                             radius=float(rng.uniform(0.02, 0.1)))
+                     for _ in range(2))
+    return Scene(spheres=spheres, capsules=capsules, workspace_bounds=BOUNDS)
+
+
 def test_collision_min_clearance_matches_sampling_oracle(chain):
     # brute force: 1e4 point samples along every arm segment
     rng = np.random.default_rng(8)
     lo, hi = chain.limit_arrays()
     for trial in range(5):
         q = rng.uniform(lo, hi)
-        spheres = tuple(Sphere(center=rng.uniform(-0.5, 0.5, 3),
-                               radius=float(rng.uniform(0.02, 0.2)))
-                        for _ in range(3))
-        capsules = tuple(Capsule(p0=rng.uniform(-0.5, 0.5, 3),
-                                 p1=rng.uniform(-0.5, 0.5, 3),
-                                 radius=float(rng.uniform(0.02, 0.1)))
-                         for _ in range(2))
-        scene = Scene(spheres=spheres, capsules=capsules, workspace_bounds=BOUNDS)
+        scene = _random_scene(rng)
         got = collision_check(chain, q, scene).min_clearance
 
         pts = link_points(chain, q)
@@ -73,10 +78,10 @@ def test_collision_min_clearance_matches_sampling_oracle(chain):
         best = np.inf
         for a, b in zip(pts[:-1], pts[1:]):
             samples = a[None] + ts[:, None] * (b - a)[None]
-            for s in spheres:
+            for s in scene.spheres:
                 d = np.linalg.norm(samples - s.center, axis=1).min() - s.radius
                 best = min(best, float(d))
-            for c in capsules:
+            for c in scene.capsules:
                 d = segment_point_distance(c.p0, c.p1, samples).min() - c.radius
                 best = min(best, float(d))
         assert got == pytest.approx(best, abs=1e-3)
@@ -262,11 +267,91 @@ def test_nan_configuration_collides(chain, run_config, shipped):
         result = collision_check(chain, q, scene, FAST_PSO.clearance)
         assert result.colliding
         assert np.isnan(result.min_clearance)
-    # every sample of both segments next to a NaN waypoint is NaN
-    q = np.array([np.nan, 0.0, 0.0, 0.0, 0.0])
-    waypoints = np.array([chain.home_q, q, chain.home_q])
-    result = fitness(waypoints, chain, scene, FAST_PSO)
-    assert result.colliding_samples == 2 * 20
+    # every sample of both segments next to a NaN or inf waypoint is NaN
+    for bad in (np.nan, np.inf):
+        q = np.array([bad, 0.0, 0.0, 0.0, 0.0])
+        waypoints = np.array([chain.home_q, q, chain.home_q])
+        result = fitness(waypoints, chain, scene, FAST_PSO)
+        assert result.colliding_samples == 2 * 20
+
+
+def test_clearance_of_empty_batch(chain, run_config):
+    arrays = _scene_arrays(chain, run_config.scene)
+    for cutoff in (0.015, np.inf):
+        got = _clearance(chain, np.empty((0, chain.n_joints)), arrays, cutoff)
+        assert got.shape == (0,)
+
+
+def test_lever_bound_is_sound(chain, run_config):
+    # the swarm scorer's certificate: moving from q_ref to q lowers the
+    # clearance by at most sum_i |q_i - q_ref_i| * levers[i]
+    links = np.linalg.norm(chain.compiled.offsets[1:], axis=1)
+    np.testing.assert_allclose(chain.compiled.levers,
+                               [links[i:].sum() for i in range(len(links))])
+    rng = np.random.default_rng(12)
+    lo, hi = chain.limit_arrays()
+    scenes = [run_config.scene] + [_random_scene(rng) for _ in range(4)]
+    slack = []
+    for scene in scenes:
+        for _ in range(60):
+            q_ref = rng.uniform(lo, hi)
+            step = rng.normal(size=chain.n_joints) * 10.0 ** rng.uniform(-3, 0)
+            if rng.random() < 0.5:  # one joint alone, where the bound is tightest
+                step *= np.eye(chain.n_joints)[rng.integers(chain.n_joints)]
+            q = q_ref + step
+            bound = (collision_check(chain, q_ref, scene).min_clearance
+                     - np.abs(step) @ chain.compiled.levers)
+            got = collision_check(chain, q, scene).min_clearance
+            assert got >= bound - 1e-12
+            slack.append(got - bound)
+    # some pairs come close to the bound, so a lever too short would fail
+    assert np.quantile(slack, 0.05) < 0.2 * np.median(slack)
+
+
+def test_certified_scores_equal_full_evaluation(chain, run_config, monkeypatch):
+    # a swarm's batches: particles drift by small steps, with an occasional
+    # jump, so some samples certify from their slot's last check and others
+    # collide; the certified scorer must give the same scores and counts
+    scene = run_config.scene
+    arrays = _scene_arrays(chain, scene)
+    goal = chain.home_q + np.array([0.0, 0.9, -0.9, 0.2, 0.0])
+    rng = np.random.default_rng(5)
+    batch, w, n = 8, 3, chain.n_joints
+    inner = np.linspace(chain.home_q, goal, w + 2)[1:-1]
+    inner = inner[None] + rng.normal(scale=0.3, size=(batch, w, n))
+    inner[-1, 1, 0] = np.nan       # NaN and inf never certify
+    inner[-2, 1, 2] = np.inf
+    slots = batch * (w + 1) * 20
+    refs = (np.zeros((slots, n)), np.full(slots, -np.inf))
+    checked = []
+    real = planner.link_points_batch
+
+    def spy(chain, qs):
+        checked.append(len(qs))
+        return real(chain, qs)
+
+    monkeypatch.setattr(planner, "link_points_batch", spy)
+    margin = FAST_PSO.clearance + FAST_PSO.penalty_margin
+    collided = 0
+    for it in range(12):
+        paths = np.concatenate([np.broadcast_to(chain.home_q, (batch, 1, n)),
+                                inner, np.broadcast_to(goal, (batch, 1, n))],
+                               axis=1)
+        certified = _score(paths, chain, arrays, FAST_PSO, margin, refs=refs)
+        full = _score(paths, chain, arrays, FAST_PSO, margin)
+        for got, want in zip(certified, full):
+            assert np.array_equal(got, want, equal_nan=True)
+        collided += int(full[-1][:-2].sum())
+        if it == 5:
+            repeated = int(full[-1].sum())
+            continue  # the same batch again: every free sample certifies
+        inner = inner + rng.normal(scale=0.01, size=inner.shape)
+        inner[it % batch] += rng.normal(scale=0.3, size=(w, n))
+    assert collided > 0
+    certified_calls = checked[0::2]
+    assert certified_calls[0] == slots
+    assert all(0 < c < slots for c in certified_calls[1:])
+    assert certified_calls[6] == repeated  # only the colliding ones
 
 
 def test_fitness_dimension_checks(chain):
