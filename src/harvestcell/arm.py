@@ -7,6 +7,13 @@ Every FK result, for one configuration or a batch, comes from one batched
 kernel, `_frames`, over the chain's `compiled` arrays. A 5-DOF arm cannot
 track full 6-DOF poses, so IK tracks position plus the direction of a tool
 "approach axis" (two orientation DOF); the roll about it is left free.
+
+IK works on batches of one, where numpy's per-call overhead, not the
+arithmetic, sets the cost. So `_frames` writes every product into buffers
+made once per call, cross products are formed by components (`_cross`)
+instead of `np.cross`, and each IK iterate's residual norm is computed once.
+These keep every floating-point operation and its order, so the answers are
+the same to the bit.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     x, y, z, w = q
     n = x * x + y * y + z * z + w * w
-    if abs(n - 1.0) > 1e-9:
+    if not abs(n - 1.0) <= 1e-9:  # NaN fails too
         raise ConfigError(f"quaternion must have unit norm, got |q|^2={float(n)!r}")
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
@@ -91,7 +98,7 @@ class Pose:
 
     def __post_init__(self):
         n = float(np.linalg.norm(self.orientation))
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:
             raise ConfigError(f"pose quaternion norm {n!r} not within 1e-9 of 1")
 
 
@@ -105,7 +112,7 @@ class Joint:
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
-        if abs(np.linalg.norm(axis) - 1.0) > _UNIT_TOL:
+        if not abs(np.linalg.norm(axis) - 1.0) <= _UNIT_TOL:
             raise ConfigError(f"joint axis must be unit norm, got {axis.tolist()}")
         lo, hi = self.limits
         if not lo < hi:
@@ -132,7 +139,7 @@ class KinematicChain:
         if len(self.joints) < 1:
             raise ConfigError("chain needs at least one joint")
         axis = np.asarray(self.approach_axis, dtype=float)
-        if abs(np.linalg.norm(axis) - 1.0) > _UNIT_TOL:
+        if not abs(np.linalg.norm(axis) - 1.0) <= _UNIT_TOL:
             raise ConfigError("approach_axis must be unit norm")
         if self.home_q is not None:
             q = self.check_q(self.home_q)
@@ -172,7 +179,7 @@ class KinematicChain:
             offsets, axes, k, np.array([m @ m for m in k]), self.base_frame.matrix(),
             np.asarray(self.base_frame.translation, dtype=float),
             self.tool_offset.matrix(), first_moving, static_points=None,
-            levers=levers)
+            levers=levers, approach=np.array(self.approach_axis, dtype=float))
         # the static points are the same at every q, so take them at q = 0
         points = _frames(compiled, np.zeros((1, self.n_joints)))[0][0]
         return compiled._replace(static_points=points[:first_moving + 1])
@@ -193,6 +200,7 @@ class CompiledChain(NamedTuple):
     first_moving: int           # links before this one do not move with q
     static_points: np.ndarray   # (first_moving + 1, 3) their end points
     levers: np.ndarray          # (N,) link lengths from joint i out to the tool
+    approach: np.ndarray        # (3,) tool-frame approach axis
 
 
 def _static_link_count(axes: np.ndarray, links: np.ndarray) -> int:
@@ -211,28 +219,39 @@ def _frames(compiled: CompiledChain, qs: np.ndarray):
     point, the joint axes in the base frame (B, N, 3) and the tool rotations
     (B, 3, 3). The rotation update R <- R (I + sin(q) K + (1-cos(q)) K^2) is
     expanded to R + sin(q) RK + (1-cos(q)) RK^2, a few (3B x 3)(3 x 3)
-    products per joint instead of B tiny matmuls. A row that is not all
-    finite comes out NaN, without a warning."""
+    products per joint instead of B tiny matmuls. Every product is written
+    into a buffer made once per call; the points and axes are filled joint
+    by joint and returned as (B, ...) views of joint-major buffers. A row
+    that is not all finite comes out NaN, without a warning."""
     batch, n = qs.shape
     with np.errstate(invalid="ignore"):  # sin(inf) is NaN
         sin = np.sin(qs)[:, :, None, None]
         vers = (1.0 - np.cos(qs))[:, :, None, None]
-    rot = np.broadcast_to(compiled.base_rot, (batch, 3, 3)).copy()
+    rot = np.empty((batch, 3, 3))
+    rot[:] = compiled.base_rot
+    flat = rot.reshape(-1, 3)        # a view: rot only changes in place
+    # R K and R K^2 both come from the R before this joint's update
+    rot_k = np.empty((batch, 3, 3))
+    rot_k2 = np.empty((batch, 3, 3))
+    flat_k, flat_k2 = rot_k.reshape(-1, 3), rot_k2.reshape(-1, 3)
+    step = np.empty((batch, 3))
+    flat_step = step.reshape(-1)
+    points = np.empty((n + 1, batch, 3))
+    axes = np.empty((n, batch, 3))
+    flat_axes = axes.reshape(n, -1)
     pos = compiled.base_pos
-    points = np.empty((batch, n + 1, 3))
-    axes = np.empty((batch, n, 3))
     for i in range(n):
-        flat = rot.reshape(-1, 3)
-        pos = pos + flat.dot(compiled.offsets[i]).reshape(batch, 3)
-        points[:, i] = pos
-        axes[:, i] = flat.dot(compiled.axes[i]).reshape(batch, 3)
-        rot_k = flat.dot(compiled.k[i]).reshape(batch, 3, 3)
-        rot_k2 = flat.dot(compiled.k2[i]).reshape(batch, 3, 3)
-        rot += np.multiply(rot_k, sin[:, i], out=rot_k)  # in place: fewer temporaries
+        flat.dot(compiled.offsets[i], flat_step)
+        pos = np.add(pos, step, out=points[i])
+        flat.dot(compiled.axes[i], flat_axes[i])
+        flat.dot(compiled.k[i], flat_k)
+        flat.dot(compiled.k2[i], flat_k2)
+        rot += np.multiply(rot_k, sin[:, i], out=rot_k)
         rot += np.multiply(rot_k2, vers[:, i], out=rot_k2)
-    flat = rot.reshape(-1, 3)
-    points[:, n] = pos + flat.dot(compiled.offsets[n]).reshape(batch, 3)
-    return points, axes, flat.dot(compiled.tool_rot).reshape(batch, 3, 3)
+    flat.dot(compiled.offsets[n], flat_step)
+    np.add(pos, step, out=points[n])
+    return (points.transpose(1, 0, 2), axes.transpose(1, 0, 2),
+            flat.dot(compiled.tool_rot).reshape(batch, 3, 3))
 
 
 def forward_kinematics(chain: KinematicChain, q) -> Pose:
@@ -256,11 +275,23 @@ def link_points_batch(chain: KinematicChain, qs: np.ndarray) -> np.ndarray:
     return _frames(chain.compiled, qs)[0]
 
 
+# rows (1, 2, 0) and (2, 0, 1) of a (3, ...) array: a x b is
+# a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT], numpy.cross's own formula and
+# so its bits, without its per-call axis handling
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products along the first axis of two (3, ...) arrays."""
+    return a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT]
+
+
 def _frames_jacobian(points: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Geometric Jacobian from one configuration's `_frames` output: the
     (N+1, 3) joint origins and tool point, and the (N, 3) joint axes."""
     jac = np.empty((6, axes.shape[0]))
-    jac[:3] = np.cross(axes, points[-1] - points[:-1]).T
+    jac[:3] = _cross(axes.T, (points[-1] - points[:-1]).T)
     jac[3:] = axes.T
     return jac
 
@@ -290,19 +321,32 @@ class IkOptions:
     damping: float = 0.005
     orientation_mode: str = "approach"  # or "position"
 
+    def __post_init__(self):
+        if not self.max_iters >= 0:
+            raise ConfigError(f"max_iters must be >= 0, got {self.max_iters!r}")
+        for name in ("tol_pos", "tol_rot"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(
+                    f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if not 0.0 <= self.damping < math.inf:
+            raise ConfigError(f"damping must be finite and >= 0, got {self.damping!r}")
+        if self.orientation_mode not in ("approach", "position"):
+            raise ConfigError(f"unknown orientation_mode {self.orientation_mode!r}")
 
-def _approach_error(tool_rot: np.ndarray, chain: KinematicChain,
+
+def _approach_error(tool_rot: np.ndarray, approach: np.ndarray,
                     target_axis: np.ndarray) -> np.ndarray:
-    """Axis-angle rotation aligning the current approach axis with the target's.
+    """Axis-angle rotation aligning the current approach axis (the chain's
+    tool-frame `approach` turned by `tool_rot`) with the target's.
 
     The aligning rotation is perpendicular to both axes, so the roll about
     the approach axis is excluded by construction: this is the projection
     of the orientation error onto the subspace a 5-DOF arm can control.
     """
-    current = tool_rot @ np.asarray(chain.approach_axis, dtype=float)
-    cross = np.cross(current, target_axis)
+    current = tool_rot @ approach
+    cross = _cross(current, target_axis)
     s = float(np.linalg.norm(cross))
-    angle = math.atan2(s, float(np.clip(np.dot(current, target_axis), -1.0, 1.0)))
+    angle = math.atan2(s, min(max(float(np.dot(current, target_axis)), -1.0), 1.0))
     if s < 1e-12:
         # parallel or antiparallel; antiparallel has no unique axis, pick one
         return np.zeros(3) if angle < 1e-12 else _any_perpendicular(current) * angle
@@ -312,7 +356,7 @@ def _approach_error(tool_rot: np.ndarray, chain: KinematicChain,
 def target_approach_axis(target: Pose, chain: KinematicChain) -> np.ndarray:
     """The target pose's approach direction in the base frame."""
     return quat_to_matrix(np.asarray(target.orientation, dtype=float)) \
-        @ np.asarray(chain.approach_axis, dtype=float)
+        @ chain.compiled.approach
 
 
 def inverse_kinematics(chain: KinematicChain, target: Pose, seed_q,
@@ -329,26 +373,24 @@ def inverse_kinematics(chain: KinematicChain, target: Pose, seed_q,
     Raises NoConvergence carrying the best iterate; an unreachable target
     is not distinguished from slow convergence.
     """
-    q = chain.check_q(seed_q).copy()
+    compiled = chain.compiled
     lo, hi = chain.limit_arrays()
-    q = np.clip(q, lo, hi)
+    q = np.clip(chain.check_q(seed_q), lo, hi)
     target_pos = np.asarray(target.position, dtype=float)
     track_orientation = opts.orientation_mode == "approach"
-    if opts.orientation_mode not in ("approach", "position"):
-        raise ValueError(f"unknown orientation_mode {opts.orientation_mode!r}")
     target_axis = target_approach_axis(target, chain) if track_orientation else None
 
     def residual(qv: np.ndarray):
-        points, axes, tool_rot = _frames(chain.compiled, qv[None])
+        points, axes, tool_rot = _frames(compiled, qv[None])
         jac_full = _frames_jacobian(points[0], axes[0])
         err_pos = target_pos - points[0, -1]
         if track_orientation:
-            err_rot = _approach_error(tool_rot[0], chain, target_axis)
+            err_rot = _approach_error(tool_rot[0], compiled.approach, target_axis)
             return jac_full, np.concatenate([err_pos, err_rot])
         return jac_full[:3], err_pos
 
     jac_cur, err = residual(q)
-    trace = [float(np.linalg.norm(err))]
+    trace = [float(np.linalg.norm(err))]   # trace[-1] is always |err|
     eye = np.eye(chain.n_joints)
 
     def split_norms(e: np.ndarray) -> tuple[float, float]:
@@ -360,20 +402,21 @@ def inverse_kinematics(chain: KinematicChain, target: Pose, seed_q,
         pos_err, rot_err = split_norms(err)
         if pos_err < opts.tol_pos and rot_err < opts.tol_rot:
             return q
-        lam = max(opts.damping, 0.5 * float(np.linalg.norm(err)))
+        lam = max(opts.damping, 0.5 * trace[-1])
         dq = np.linalg.solve(jac_cur.T @ jac_cur + lam * lam * eye,
                              jac_cur.T @ err)
         step = 1.0
         for _ in range(12):
             q_new = np.clip(q + step * dq, lo, hi)
             jac_new, err_new = residual(q_new)
-            if np.linalg.norm(err_new) < np.linalg.norm(err):
+            norm_new = float(np.linalg.norm(err_new))
+            if norm_new < trace[-1]:
                 break
             step *= 0.5
         else:  # no step shrank the residual
             break
         q, jac_cur, err = q_new, jac_new, err_new
-        trace.append(float(np.linalg.norm(err)))
+        trace.append(norm_new)
 
     pos_err, rot_err = split_norms(err)
     if pos_err < opts.tol_pos and rot_err < opts.tol_rot:
@@ -385,10 +428,13 @@ def solve_ik_point(chain: KinematicChain, position, approach_axis, seed_q,
                    opts: IkOptions = IkOptions()) -> np.ndarray:
     """IK helper taking a position and desired approach direction directly."""
     axis = np.asarray(approach_axis, dtype=float)
+    if axis.shape != (3,) or not 0.0 < np.linalg.norm(axis) < math.inf:
+        raise ValueError(
+            f"approach_axis must be a finite non-zero 3-vector, got {axis.tolist()}")
     axis = axis / np.linalg.norm(axis)
     # orientation quaternion rotating the chain's approach axis onto `axis`
-    base_axis = np.asarray(chain.approach_axis, dtype=float)
-    cross = np.cross(base_axis, axis)
+    base_axis = chain.compiled.approach
+    cross = _cross(base_axis, axis)
     s = float(np.linalg.norm(cross))
     c = float(np.clip(np.dot(base_axis, axis), -1.0, 1.0))
     if s < 1e-12:
@@ -403,5 +449,5 @@ def solve_ik_point(chain: KinematicChain, position, approach_axis, seed_q,
 
 def _any_perpendicular(v: np.ndarray) -> np.ndarray:
     helper = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    perp = np.cross(v, helper)
+    perp = _cross(v, helper)
     return perp / np.linalg.norm(perp)

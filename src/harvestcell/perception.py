@@ -70,7 +70,7 @@ class CameraModel:
             raise ConfigError("principal point must lie inside the image")
         with np.errstate(over="ignore"):  # an overflowing norm fails below
             n = float(np.linalg.norm(np.asarray(self.extrinsic_quaternion, dtype=float)))
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
             raise ConfigError("extrinsic quaternion must have unit norm")
 
     def rotation_matrix(self) -> np.ndarray:
@@ -88,6 +88,10 @@ class TargetTomato:
     source: DetectionRecord
 
     def __post_init__(self):
+        for name in ("center_3d", "pedicel_3d"):
+            point = np.asarray(getattr(self, name), dtype=float)
+            if point.shape != (3,) or not np.isfinite(point).all():
+                raise ValidationError(name, None, "must be a finite 3-vector")
         if not self.estimated_radius > 0.0:
             raise ValidationError("estimated_radius", None, "must be > 0")
         if np.allclose(self.center_3d, self.pedicel_3d):

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from harvestcell.arm import quat_to_matrix
-from harvestcell.errors import (InvalidDepth, LowConfidence, NoRipeTarget,
-                                NoValidDepth, ParseError, ValidationError)
+from harvestcell.errors import (ConfigError, InvalidDepth, LowConfidence,
+                                NoRipeTarget, NoValidDepth, ParseError,
+                                ValidationError)
 from harvestcell.perception import (CameraModel, DetectionRecord, Keypoint,
-                                    build_target, camera_to_base,
-                                    camera_to_pixel, load_depth_frame,
-                                    load_detections, pixel_to_camera,
-                                    sample_depth, save_detections,
-                                    select_target, write_depth_frame)
+                                    TargetTomato, build_target,
+                                    camera_to_base, camera_to_pixel,
+                                    load_depth_frame, load_detections,
+                                    pixel_to_camera, sample_depth,
+                                    save_detections, select_target,
+                                    write_depth_frame)
 
 IDENTITY_CAM = CameraModel(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
                            width=640, height=480)
@@ -302,3 +304,18 @@ def test_select_target_skips_unbuildable():
     good = _ripe_at(480.0, 240.0)
     target = select_target([broken, good], IDENTITY_CAM, frame)
     assert target.source == good
+
+
+def test_camera_rejects_nan_extrinsic_quaternion():
+    with pytest.raises(ConfigError):
+        CameraModel(extrinsic_quaternion=np.array([np.nan, 0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("field", ["center_3d", "pedicel_3d"])
+def test_target_rejects_non_finite_points(field):
+    points = {"center_3d": np.array([0.45, 0.0, 0.40]),
+              "pedicel_3d": np.array([0.45, 0.0, 0.42])}
+    points[field] = np.array([np.nan, 0.0, 0.40])
+    with pytest.raises(ValidationError, match=field):
+        TargetTomato(**points, ripeness="ripe", estimated_radius=0.035,
+                     source=None)
