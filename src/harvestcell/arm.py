@@ -5,8 +5,10 @@ The chain is purely data-driven: each revolute joint has a rotation axis and
 an origin offset expressed in its parent frame. Units are metres and radians.
 Every FK result, for one configuration or a batch, comes from one batched
 kernel, `_frames`, over the chain's `compiled` arrays. A 5-DOF arm cannot
-track full 6-DOF poses, so IK tracks position plus the direction of a tool
-"approach axis" (two orientation DOF); the roll about it is left free.
+track full 6-DOF poses, so IK has one target form, solved by one loop
+(`_solve`): a position plus the base-frame direction of the tool "approach
+axis"; the roll about it is left free. `inverse_kinematics` reads that axis
+off a `Pose`, `solve_ik_point` takes it as given.
 
 IK works on batches of one, where numpy's per-call overhead, not the
 arithmetic, sets the cost. So `_frames` writes every product into buffers
@@ -31,13 +33,6 @@ _UNIT_TOL = 1e-12
 
 
 # --- small rotation / quaternion helpers (scalar-last convention x,y,z,w) --
-
-def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis."""
-    x, y, z = axis
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     x, y, z, w = q
@@ -144,8 +139,9 @@ class KinematicChain:
         if self.home_q is not None:
             q = self.check_q(self.home_q)
             lo, hi = self.limit_arrays()
-            if np.any(q < lo) or np.any(q > hi):
-                raise ConfigError("home_q violates joint limits")
+            if not np.all((lo <= q) & (q <= hi)):  # also false for NaN
+                raise ConfigError(
+                    f"home_q must be finite and within the joint limits, got {q.tolist()}")
 
     @property
     def n_joints(self) -> int:
@@ -255,8 +251,11 @@ def _frames(compiled: CompiledChain, qs: np.ndarray):
 
 
 def forward_kinematics(chain: KinematicChain, q) -> Pose:
-    """Tool pose for the given joint vector (rad)."""
-    points, _, tool_rot = _frames(chain.compiled, chain.check_q(q)[None])
+    """Tool pose for the given joint vector (rad), which must be finite."""
+    q = chain.check_q(q)
+    if not np.isfinite(q).all():
+        raise ValueError(f"q must be finite, got {q.tolist()}")
+    points, _, tool_rot = _frames(chain.compiled, q[None])
     return Pose(position=points[0, -1], orientation=matrix_to_quat(tool_rot[0]))
 
 
@@ -319,7 +318,6 @@ class IkOptions:
     tol_pos: float = 1e-6
     tol_rot: float = 1e-4
     damping: float = 0.005
-    orientation_mode: str = "approach"  # or "position"
 
     def __post_init__(self):
         if not self.max_iters >= 0:
@@ -330,8 +328,6 @@ class IkOptions:
                     f"{name} must be finite and > 0, got {getattr(self, name)!r}")
         if not 0.0 <= self.damping < math.inf:
             raise ConfigError(f"damping must be finite and >= 0, got {self.damping!r}")
-        if self.orientation_mode not in ("approach", "position"):
-            raise ConfigError(f"unknown orientation_mode {self.orientation_mode!r}")
 
 
 def _approach_error(tool_rot: np.ndarray, approach: np.ndarray,
@@ -361,47 +357,66 @@ def target_approach_axis(target: Pose, chain: KinematicChain) -> np.ndarray:
 
 def inverse_kinematics(chain: KinematicChain, target: Pose, seed_q,
                        opts: IkOptions = IkOptions()) -> np.ndarray:
-    """Damped-least-squares IK towards a target pose.
+    """IK towards a target pose: its position and its approach axis
+    (`target_approach_axis`); the roll about that axis is left free."""
+    return _solve(chain, target.position, target_approach_axis(target, chain),
+                  seed_q, opts)
+
+
+def solve_ik_point(chain: KinematicChain, position, approach_axis, seed_q,
+                   opts: IkOptions = IkOptions()) -> np.ndarray:
+    """IK towards a position and an approach direction of any non-zero
+    length, given directly."""
+    axis = np.asarray(approach_axis, dtype=float)
+    if axis.shape != (3,) or not 0.0 < np.linalg.norm(axis) < math.inf:
+        raise ValueError(
+            f"approach_axis must be a finite non-zero 3-vector, got {axis.tolist()}")
+    return _solve(chain, position, axis / np.linalg.norm(axis), seed_q, opts)
+
+
+def _solve(chain: KinematicChain, position, unit_axis: np.ndarray, seed_q,
+           opts: IkOptions) -> np.ndarray:
+    """Damped-least-squares IK (Buss 2004) towards a tool position and a
+    unit approach axis in the base frame.
 
     Iterates q <- q + (J^T J + lambda^2 I)^-1 J^T e with
     lambda = max(opts.damping, 0.5 * |e|), clamping to joint limits each
     step and halving the step whenever the residual norm would grow, so the
-    residual trace is non-increasing. Converged when position error <
-    tol_pos and (in "approach" mode) the approach-axis misalignment
-    < tol_rot.
+    residual trace is non-increasing. Converged when the position error is
+    below tol_pos and the approach-axis misalignment below tol_rot.
 
-    Raises NoConvergence carrying the best iterate; an unreachable target
-    is not distinguished from slow convergence.
+    Raises ValueError for a non-finite position or seed, and NoConvergence
+    carrying the best iterate; an unreachable target is not distinguished
+    from slow convergence.
     """
+    target_pos = np.asarray(position, dtype=float)
+    if target_pos.shape != (3,) or not np.isfinite(target_pos).all():
+        raise ValueError(
+            f"position must be a finite 3-vector, got {target_pos.tolist()}")
+    seed = chain.check_q(seed_q)
+    if not np.isfinite(seed).all():
+        raise ValueError(f"seed_q must be finite, got {seed.tolist()}")
     compiled = chain.compiled
     lo, hi = chain.limit_arrays()
-    q = np.clip(chain.check_q(seed_q), lo, hi)
-    target_pos = np.asarray(target.position, dtype=float)
-    track_orientation = opts.orientation_mode == "approach"
-    target_axis = target_approach_axis(target, chain) if track_orientation else None
+    q = np.clip(seed, lo, hi)
 
     def residual(qv: np.ndarray):
         points, axes, tool_rot = _frames(compiled, qv[None])
-        jac_full = _frames_jacobian(points[0], axes[0])
-        err_pos = target_pos - points[0, -1]
-        if track_orientation:
-            err_rot = _approach_error(tool_rot[0], compiled.approach, target_axis)
-            return jac_full, np.concatenate([err_pos, err_rot])
-        return jac_full[:3], err_pos
+        err_rot = _approach_error(tool_rot[0], compiled.approach, unit_axis)
+        return (_frames_jacobian(points[0], axes[0]),
+                np.concatenate([target_pos - points[0, -1], err_rot]))
 
     jac_cur, err = residual(q)
     trace = [float(np.linalg.norm(err))]   # trace[-1] is always |err|
     eye = np.eye(chain.n_joints)
 
-    def split_norms(e: np.ndarray) -> tuple[float, float]:
-        pos = float(np.linalg.norm(e[:3]))
-        rot = float(np.linalg.norm(e[3:])) if e.shape[0] > 3 else 0.0
-        return pos, rot
-
-    for _ in range(opts.max_iters):
-        pos_err, rot_err = split_norms(err)
+    for iteration in range(opts.max_iters + 1):
+        pos_err = float(np.linalg.norm(err[:3]))
+        rot_err = float(np.linalg.norm(err[3:]))
         if pos_err < opts.tol_pos and rot_err < opts.tol_rot:
             return q
+        if iteration == opts.max_iters:
+            break
         lam = max(opts.damping, 0.5 * trace[-1])
         dq = np.linalg.solve(jac_cur.T @ jac_cur + lam * lam * eye,
                              jac_cur.T @ err)
@@ -417,34 +432,7 @@ def inverse_kinematics(chain: KinematicChain, target: Pose, seed_q,
             break
         q, jac_cur, err = q_new, jac_new, err_new
         trace.append(norm_new)
-
-    pos_err, rot_err = split_norms(err)
-    if pos_err < opts.tol_pos and rot_err < opts.tol_rot:
-        return q
     raise NoConvergence(q, pos_err, rot_err, trace)
-
-
-def solve_ik_point(chain: KinematicChain, position, approach_axis, seed_q,
-                   opts: IkOptions = IkOptions()) -> np.ndarray:
-    """IK helper taking a position and desired approach direction directly."""
-    axis = np.asarray(approach_axis, dtype=float)
-    if axis.shape != (3,) or not 0.0 < np.linalg.norm(axis) < math.inf:
-        raise ValueError(
-            f"approach_axis must be a finite non-zero 3-vector, got {axis.tolist()}")
-    axis = axis / np.linalg.norm(axis)
-    # orientation quaternion rotating the chain's approach axis onto `axis`
-    base_axis = chain.compiled.approach
-    cross = _cross(base_axis, axis)
-    s = float(np.linalg.norm(cross))
-    c = float(np.clip(np.dot(base_axis, axis), -1.0, 1.0))
-    if s < 1e-12:
-        rot = np.eye(3) if c > 0.0 else rotation_about_axis(
-            _any_perpendicular(base_axis), math.pi)
-    else:
-        rot = rotation_about_axis(cross / s, math.atan2(s, c))
-    target = Pose(position=np.asarray(position, dtype=float),
-                  orientation=matrix_to_quat(rot))
-    return inverse_kinematics(chain, target, seed_q, opts)
 
 
 def _any_perpendicular(v: np.ndarray) -> np.ndarray:

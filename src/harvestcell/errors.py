@@ -98,7 +98,7 @@ class ValidationError(HarvestCellError):
         self.field = field
         self.index = index
         where = f" (record {index})" if index is not None else ""
-        super().__init__(f"invalid field '{field}'{where}: {message}")
+        super().__init__(f"invalid field {field!r}{where}: {message}")
 
 
 class InvalidDepth(HarvestCellError):

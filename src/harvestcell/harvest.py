@@ -99,7 +99,6 @@ class PickCycleReport:
     total_time: float
     outcome: str
     pedicel_miss_distance: float | None
-    trajectory_used: Trajectory | None
     holding_torque_total: float | None
 
 
@@ -319,7 +318,6 @@ def monte_carlo(target: TargetTomato, chain: KinematicChain, scene: Scene,
             total_time=t,
             outcome=hit_outcome if h else miss_outcome,
             pedicel_miss_distance=m,
-            trajectory_used=plans.approach_trajectory,
             holding_torque_total=torque if h else None,
         )
         for n, row, t, m, h in zip(executed.tolist(), durations.tolist(),

@@ -13,7 +13,9 @@ metres (depth_scale 1.0 for this format).
 from __future__ import annotations
 
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +104,8 @@ class TargetTomato:
 def _require_number(value, field_name, index, lo=None, hi=None) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(field_name, index, f"expected a number, got {value!r}")
-    x = float(value)
+    # compared before converting: float() of an int past the range overflows
+    x = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not np.isfinite(x):
         raise ValidationError(field_name, index, "must be finite")
     if lo is not None and x < lo or hi is not None and x > hi:
@@ -181,7 +184,8 @@ def load_detections(path, image_size: tuple[int, int] | None = None
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: bad JSON, bad UTF-8 or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ValidationError("root", None, "top level must be a JSON array")

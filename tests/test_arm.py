@@ -7,8 +7,7 @@ from harvestcell.arm import (IkOptions, Joint, KinematicChain, Pose,
                              RigidTransform, _frames, forward_kinematics,
                              inverse_kinematics, jacobian, link_points,
                              link_points_batch, matrix_to_quat, quat_to_matrix,
-                             rotation_about_axis, solve_ik_point,
-                             target_approach_axis)
+                             solve_ik_point, target_approach_axis)
 from harvestcell.errors import ConfigError, DimensionMismatch, NoConvergence
 
 
@@ -19,6 +18,13 @@ def _single_z_chain(offset=(0.0, 0.0, 0.0), tool=(1.0, 0.0, 0.0)):
                       limits=(-np.pi, np.pi)),),
         tool_offset=RigidTransform(translation=np.array(tool, dtype=float)),
     )
+
+
+def _rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rodrigues rotation matrix about a unit axis."""
+    x, y, z = axis
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
 def test_quaternion_matrix_round_trip():
@@ -86,7 +92,7 @@ def test_fk_matches_homogeneous_matrix_oracle(run_config):
             step = np.eye(4)
             step[:3, 3] = joint.offset
             rot = np.eye(4)
-            rot[:3, :3] = rotation_about_axis(np.asarray(joint.axis, float), qi)
+            rot[:3, :3] = _rotation_about_axis(np.asarray(joint.axis, float), qi)
             T = T @ step @ rot
         tool = np.eye(4)
         tool[:3, :3] = chain.tool_offset.matrix()
@@ -240,6 +246,39 @@ def test_solve_ik_point_tracks_approach_axis(run_config):
     assert np.arccos(np.clip(axis @ [0.0, 0.0, 1.0], -1, 1)) < 1e-4
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["position", "seed_q"])
+def test_ik_rejects_non_finite_input(run_config, where, bad):
+    chain = run_config.arm
+    position = np.array([0.45, 0.0, 0.32])
+    seed = chain.home_q.copy()
+    (position if where == "position" else seed)[1] = bad
+    target = Pose(position=position, orientation=np.array([0.0, 0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match=where):
+        inverse_kinematics(chain, target, seed)
+    with pytest.raises(ValueError, match=where):
+        solve_ik_point(chain, position, np.array([0.0, 0.0, 1.0]), seed)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fk_rejects_non_finite_q(run_config, bad):
+    chain = run_config.arm
+    q = np.zeros(chain.n_joints)
+    q[0] = bad
+    with pytest.raises(ValueError, match="q must be finite"):
+        forward_kinematics(chain, q)
+    # the planner's batch keeps its NaN rows (past the fixed base point),
+    # which collide
+    points = link_points_batch(chain, np.stack([q, np.zeros(chain.n_joints)]))
+    assert np.isnan(points[0, 1:]).all() and np.isfinite(points[1]).all()
+
+
+def test_chain_rejects_nan_home_q():
+    joints = _single_z_chain().joints
+    with pytest.raises(ConfigError, match="home_q"):
+        KinematicChain(joints=joints, home_q=np.array([np.nan]))
+
+
 def test_target_approach_axis(run_config):
     chain = run_config.arm
     pose = forward_kinematics(chain, chain.home_q)
@@ -247,21 +286,11 @@ def test_target_approach_axis(run_config):
     assert abs(np.linalg.norm(axis) - 1.0) < 1e-12
 
 
-def test_ik_position_only_mode(run_config):
-    chain = run_config.arm
-    target = forward_kinematics(chain, chain.home_q + 0.05)
-    opts = IkOptions(orientation_mode="position")
-    result = inverse_kinematics(chain, target, chain.home_q, opts)
-    pose = forward_kinematics(chain, result)
-    assert np.linalg.norm(pose.position - target.position) < 1e-6
-
-
 def test_ik_answers_bytes_pinned(run_config, harvest_target):
-    # SHA-256 of 40 criterion-05 round trips (every 4th tracking position
-    # only) and 40 solve_ik_point calls around the shipped tomato cluster
-    # (every 8th moved out of reach), with the best iterate, residuals and
-    # trace of every NoConvergence; a change that claims the same answers
-    # faster must keep it (numpy 2.x, x86-64).
+    # SHA-256 of 40 criterion-05 round trips and 40 solve_ik_point calls
+    # around the shipped tomato cluster (every 8th moved out of reach), with
+    # the best iterate, residuals and trace of every NoConvergence; a change
+    # that claims the same answers faster must keep it (numpy 2.x, x86-64).
     chain = run_config.arm
     lo, hi = chain.limit_arrays()
     rng = np.random.default_rng(29)
@@ -280,10 +309,8 @@ def test_ik_answers_bytes_pinned(run_config, harvest_target):
             point = point - depth * axis
         if i % 8 == 7:
             point = 3.0 * point
-        opts = IkOptions(orientation_mode="position" if i % 4 == 3 else "approach")
         for solve in (
-                lambda: inverse_kinematics(chain, forward_kinematics(chain, q0),
-                                           seed, opts),
+                lambda: inverse_kinematics(chain, forward_kinematics(chain, q0), seed),
                 lambda: solve_ik_point(chain, point, axis, chain.home_q)):
             try:
                 digest.update(solve().tobytes())
@@ -294,7 +321,7 @@ def test_ik_answers_bytes_pinned(run_config, harvest_target):
                     exc.residual_trace]).tobytes())
     assert failures == 5
     assert digest.hexdigest() == (
-        "5e06dc58289cbcd5968ea1e0f6fb031fc523c92129e61a6e73fdcc431833e6cd")
+        "cca74d3c548506097d11aad00b6127213994ebf59d04e151c9fa7210d4637bb0")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -304,7 +331,6 @@ def test_ik_answers_bytes_pinned(run_config, harvest_target):
     ("tol_rot", float("inf")),
     ("damping", -0.1),
     ("damping", float("nan")),
-    ("orientation_mode", "full"),
 ])
 def test_ik_options_reject_bad_values(field, value):
     with pytest.raises(ConfigError, match=field):

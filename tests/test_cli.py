@@ -1,12 +1,20 @@
+import contextlib
 import csv
+import io
 import json
+import struct
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harvestcell import cli
 from harvestcell.config import default_config_path
+from harvestcell.errors import ParseError, ValidationError
+from harvestcell.perception import (DEPTH_MAGIC, load_depth_frame,
+                                    load_detections)
 
 
 def _shipped_raw():
@@ -292,3 +300,108 @@ def test_help_lists_subcommands(capsys):
         assert name in out
     for flag in ("--config", "--seed", "--out", "--quiet"):
         assert flag in out
+
+
+# --- fuzzed detection and depth files: the loaders raise only ParseError or
+# ValidationError, and pick-stats turns a rejected file into exit 1 with one
+# stderr line and no output file
+
+_VALID_RECORD = {
+    "class": "ripe", "score": 0.9, "bbox": [100.0, 100.0, 200.0, 200.0],
+    "keypoints": {"center": [150.0, 150.0, 0.9], "pedicel": [150.0, 120.0, 0.8]},
+    "mask": [[100.0, 100.0], [200.0, 200.0]],
+}
+
+_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**400, 10**400),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=4),
+    st.dictionaries(st.text(max_size=8), st.integers(), max_size=3))
+
+
+def _containers(doc):
+    """Every list and dict inside `doc`, `doc` first."""
+    yield doc
+    for value in (doc.values() if isinstance(doc, dict) else doc):
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+@st.composite
+def _detection_files(draw):
+    kind = draw(st.sampled_from(["bytes", "value", "key", "json"]))
+    if kind == "bytes":  # not necessarily UTF-8 or JSON
+        return draw(st.binary(max_size=64))
+    if kind == "json":
+        return json.dumps(draw(_VALUE)).encode()
+    doc = [json.loads(json.dumps(_VALID_RECORD)) for _ in range(2)]
+    parent = draw(st.sampled_from([c for c in _containers(doc) if c]))
+    key = (draw(st.sampled_from(sorted(parent))) if isinstance(parent, dict)
+           else draw(st.integers(0, len(parent) - 1)))
+    if kind == "key" and isinstance(parent, dict):
+        key = draw(st.text(max_size=8))
+    parent[key] = draw(_VALUE)
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def _depth_files(draw):
+    blob = bytearray(DEPTH_MAGIC + struct.pack("<III", 3, 2, 0)
+                     + np.ones(6, dtype="<f4").tobytes())
+    kind = draw(st.sampled_from(["bytes", "patch", "length"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=48))
+    if kind == "patch":  # overwrite part of the header or the first sample
+        at = draw(st.integers(0, 19))
+        patch = draw(st.binary(min_size=1, max_size=4))
+        blob[at:at + len(patch)] = patch
+        return bytes(blob)
+    size = draw(st.integers(0, 2 * len(blob)))
+    return bytes(blob[:size]) + bytes(max(0, size - len(blob)))
+
+
+def _assert_pick_stats_rejects(det, depth, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["--quiet", "--out", str(out), "pick-stats",
+                         "--detections", str(det), "--depth", str(depth)])
+    assert code == 1
+    text = err.getvalue()
+    assert text.count("\n") == 1 and text.startswith("harvestcell: ")
+    assert not out.exists() and not out.with_suffix(".trials.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(blob=_detection_files())
+@example(blob=b"\xff\xfe[")
+@example(blob=b"[" * 100_000)
+@example(blob=b"[" + b"1" * 5000 + b"]")
+@example(blob=b'[{"line\\nbreak": 1}]')
+def test_fuzzed_detections_rejected_cleanly(fuzz_dir, detection_fixture, blob):
+    det = fuzz_dir / "detections.json"
+    det.write_bytes(blob)
+    try:
+        records = load_detections(det, (1280, 720))
+    except (ParseError, ValidationError):
+        _assert_pick_stats_rejects(det, detection_fixture[1], fuzz_dir / "stats.json")
+    else:
+        assert isinstance(records, list)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(blob=_depth_files())
+def test_fuzzed_depth_frames_rejected_cleanly(fuzz_dir, detection_fixture, blob):
+    depth = fuzz_dir / "depth.bin"
+    depth.write_bytes(blob)
+    try:
+        frame = load_depth_frame(depth)
+    except ParseError:
+        _assert_pick_stats_rejects(detection_fixture[0], depth,
+                                   fuzz_dir / "stats.json")
+    else:
+        assert frame.ndim == 2 and frame.dtype == np.float32

@@ -255,7 +255,6 @@ def test_run_pick_cycle_is_a_batch_of_one(run_config, harvest_target,
                           run_config.mechanism, harvest_plans,
                           collect_reports=True)
     assert _report_fields(report) == _report_fields(rows[0])
-    assert report.trajectory_used is harvest_plans.approach_trajectory
 
 
 def _reference_cycle(plans, target, cfg, durations, noise):
