@@ -250,22 +250,30 @@ def _frames(compiled: CompiledChain, qs: np.ndarray):
             flat.dot(compiled.tool_rot).reshape(batch, 3, 3))
 
 
-def forward_kinematics(chain: KinematicChain, q) -> Pose:
-    """Tool pose for the given joint vector (rad), which must be finite."""
+def _finite_q(chain: KinematicChain, q) -> np.ndarray:
+    """`q` as a batch of one, checked for length and finiteness."""
     q = chain.check_q(q)
     if not np.isfinite(q).all():
         raise ValueError(f"q must be finite, got {q.tolist()}")
-    points, _, tool_rot = _frames(chain.compiled, q[None])
+    return q[None]
+
+
+def forward_kinematics(chain: KinematicChain, q) -> Pose:
+    """Tool pose for the given joint vector (rad), which must be finite."""
+    points, _, tool_rot = _frames(chain.compiled, _finite_q(chain, q))
     return Pose(position=points[0, -1], orientation=matrix_to_quat(tool_rot[0]))
 
 
 def link_points(chain: KinematicChain, q) -> np.ndarray:
-    """Polyline approximating the arm body: joint origins then the tool point."""
-    return _frames(chain.compiled, chain.check_q(q)[None])[0][0]
+    """Polyline approximating the arm body: joint origins then the tool
+    point, for a finite joint vector (rad)."""
+    return _frames(chain.compiled, _finite_q(chain, q))[0][0]
 
 
 def link_points_batch(chain: KinematicChain, qs: np.ndarray) -> np.ndarray:
-    """link_points for a (B, N) batch of joint vectors -> (B, N+1, 3)."""
+    """link_points for a (B, N) batch of joint vectors -> (B, N+1, 3); a
+    row that is not finite gives NaN points, which the planner counts as
+    colliding."""
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != chain.n_joints:
         raise DimensionMismatch(
@@ -299,9 +307,9 @@ def jacobian(chain: KinematicChain, q) -> np.ndarray:
     """Geometric Jacobian (6 x N): linear velocity rows then angular rows.
 
     Column i for a revolute joint is (z_i x (p_tool - p_i), z_i) expressed
-    in the base frame.
+    in the base frame. `q` must be finite.
     """
-    points, axes, _ = _frames(chain.compiled, chain.check_q(q)[None])
+    points, axes, _ = _frames(chain.compiled, _finite_q(chain, q))
     return _frames_jacobian(points[0], axes[0])
 
 

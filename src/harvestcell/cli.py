@@ -6,9 +6,10 @@ files. Files are only written after the whole run has succeeded, so an
 invalid configuration never leaves partial output behind.
 
 Exit codes: 0 ok, 1 config/IO/argument error (including non-finite joint
-values), 2 infeasible endpoints (a start or goal that collides or lies
-outside the joint limits), 3 no feasible plan (best-effort trajectory still
-written), 4 no ripe target.
+values and a command line argparse rejects), 2 infeasible endpoints (a
+start or goal that collides or lies outside the joint limits), 3 no
+feasible plan (best-effort trajectory still written), 4 no ripe target.
+Every error is one stderr line.
 """
 
 from __future__ import annotations
@@ -36,6 +37,19 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE_ENDPOINTS = 2
 EXIT_NO_FEASIBLE_PLAN = 3
 EXIT_NO_RIPE_TARGET = 4
+
+
+def _error_line(message: str) -> str:
+    """`message` as one stderr line: paths and argv tokens may hold breaks."""
+    return "harvestcell: " + " ".join(message.splitlines()) + "\n"
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a rejected command line as one line and exit code 1 (argparse
+    prints the usage too and exits 2, the infeasible-endpoints code)."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, _error_line(message))
 
 
 def _fmt(x: float) -> str:
@@ -228,7 +242,7 @@ _DEFAULT_OUT = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="harvestcell",
         description="Tomato-harvesting cell simulator: gripper torque curves, "
                     "arm trajectory planning and Monte Carlo pick statistics.",
@@ -289,7 +303,7 @@ def main(argv=None) -> int:
 
     def say(message: str, error: bool = False) -> None:
         if error:
-            print(f"harvestcell: {message}", file=sys.stderr)
+            sys.stderr.write(_error_line(message))
         elif not args.quiet:
             print(message)
 

@@ -326,11 +326,18 @@ def select_target(records: list[DetectionRecord], cam: CameraModel,
 
     "ripest-nearest" takes the buildable ripe target closest to the base
     origin; "highest-score" the one with the best detection score. Ties
-    break to the lowest record index. Raises NoRipeTarget when no ripe
+    break to the lowest record index. Raises ValidationError when the depth
+    frame is not the camera's image size, and NoRipeTarget when no ripe
     record yields a valid target.
     """
     if policy not in SELECTION_POLICIES:
         raise ValueError(f"policy must be one of {SELECTION_POLICIES}")
+    shape = np.shape(depth_frame)
+    if shape != (cam.height, cam.width):
+        size = "x".join(str(d) for d in shape[::-1])
+        raise ValidationError("depth_frame", None,
+                              f"{size} frame does not match the "
+                              f"{cam.width}x{cam.height} camera image")
     candidates: list[tuple[float, int, TargetTomato]] = []
     for i, rec in enumerate(records):
         if rec.label != "ripe":

@@ -31,6 +31,15 @@ turning joint i by dq_i moves no body point farther than |dq_i| times the
 link lengths from joint i out to the tool (`chain.compiled.levers`). The
 counts, and so the swarm's bytes, are those of checking every sample;
 `fitness`, `recheck_feasible` and `collision_check` still check every one.
+
+Above the samples, the swarm skips whole particles, in the manner of lazy
+collision checking (Bohlin & Kavraki, ICRA 2000). After its first call the
+update reads a particle's score only through `score < pbest_score`, and the
+path length plus limit term, which needs no FK, is a lower bound on the
+score: the collision term is >= 0 and rounded addition is monotone. So a
+particle whose bound already reaches its personal best is not sampled or
+checked, and its slots keep their references, which stay valid. The
+swarm's bytes are those of scoring every particle.
 """
 
 from __future__ import annotations
@@ -141,8 +150,14 @@ class PsoConfig:
             raise ConfigError("cognitive/social weights must be >= 0")
         if self.waypoints_per_particle < 1:
             raise ConfigError("waypoints_per_particle must be >= 1")
-        if self.penalty_margin < 0.0:
-            raise ConfigError("penalty_margin must be >= 0")
+        # the swarm's lower bound on a score, path length + limit term, holds
+        # only for penalties >= 0
+        for name in ("collision_penalty", "limit_penalty", "penalty_margin"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+        if not np.isfinite(self.clearance):
+            raise ConfigError(f"clearance must be finite, got {self.clearance!r}")
 
 
 @dataclass(frozen=True)
@@ -288,45 +303,64 @@ def collision_check(chain: KinematicChain, q, scene: Scene,
 
 def _score(paths: np.ndarray, chain: KinematicChain, arrays, config: PsoConfig,
            clearance: float, samples_per_segment: int = SAMPLES_PER_SEGMENT,
-           refs: tuple[np.ndarray, np.ndarray] | None = None):
+           refs: tuple[np.ndarray, np.ndarray] | None = None, ceiling=None):
     """Per-polyline (score, path length, collision term, limit term,
     colliding samples) of a (B, W, N) batch. Each segment is sampled at
     t = 1/S ... S/S with S = samples_per_segment, so waypoints count once and
     the first row not at all (its validity is the planner's precondition).
 
     `refs`, a pair of (R, N) configurations and (R,) clearances, holds for
-    each of the batch's R sample slots the configuration last checked there
-    and the lower bound `_clearance` gave for it. A sample whose bound from
-    its slot's reference already clears the threshold counts as free, which
-    is what checking it gives; the samples that are checked become their
-    slots' references, in place."""
+    each of the batch's R sample slots (polyline-major) the configuration
+    last checked there and the lower bound `_clearance` gave for it. A
+    sample whose bound from its slot's reference already clears the
+    threshold counts as free, which is what checking it gives; the samples
+    that are checked become their slots' references, in place.
+
+    `ceiling`, a scalar or (B,) array, skips the polylines whose lower
+    bound fl(path length + limit term) is not below it: the collision term
+    is >= 0 and rounded addition is monotone, so their score could not be
+    below it either. A skipped polyline is not sampled or checked, and its
+    slots keep their references. It reports no colliding samples and that
+    bound as its score: a value >= the ceiling that is NOT its score. With
+    no ceiling every polyline is scored."""
     batch, _, n = paths.shape
     lo, hi = chain.limit_arrays()
-    fractions = (np.arange(samples_per_segment) + 1.0) / samples_per_segment
-    with np.errstate(invalid="ignore"):  # inf waypoints make NaN samples
+    # inf waypoints make NaN deltas and samples
+    with np.errstate(invalid="ignore"):
         deltas = np.diff(paths, axis=1)
-        samples = (paths[:, :-1, None, :]
-                   + fractions[None, None, :, None] * deltas[:, :, None, :]
-                   ).reshape(-1, n)
+    per = deltas.shape[1] * samples_per_segment    # sample slots per polyline
     path_len = np.linalg.norm(deltas, axis=2).sum(axis=1)
     limit_violation = (np.maximum(paths - hi, 0.0)
                        + np.maximum(lo - paths, 0.0)).sum(axis=(1, 2))
+    limit_term = config.limit_penalty * limit_violation
+    if ceiling is None:
+        live = np.arange(batch)
+    else:
+        live = np.flatnonzero(~(path_len + limit_term >= ceiling))
+    fractions = (np.arange(samples_per_segment) + 1.0) / samples_per_segment
+    with np.errstate(invalid="ignore"):
+        samples = (paths[live, :-1, None, :]
+                   + fractions[None, None, :, None] * deltas[live, :, None, :]
+                   ).reshape(-1, n)
     if refs is None:
         clear = _clearance(chain, samples, arrays, clearance)
     else:
+        slot = (live[:, None] * per + np.arange(per)).reshape(-1)
         ref_q, ref_clear = refs
         # joint i moves no body point farther than |dq_i| * levers[i], so
         # the clearance falls by at most the weighted sum (Lipschitz bound)
         with np.errstate(invalid="ignore"):
-            clear = ref_clear - np.abs(samples - ref_q) @ chain.compiled.levers
+            clear = (ref_clear[slot]
+                     - np.abs(samples - ref_q[slot]) @ chain.compiled.levers)
         # a NaN bound never certifies
         check = np.flatnonzero(~(clear >= clearance + _BOUND_SLACK))
-        clear[check] = ref_clear[check] = _clearance(chain, samples[check],
-                                                     arrays, clearance)
-        ref_q[check] = samples[check]
-    counts = (~(clear >= clearance)).reshape(batch, -1).sum(axis=1)  # NaN collides
+        checked = slot[check]
+        clear[check] = ref_clear[checked] = _clearance(chain, samples[check],
+                                                       arrays, clearance)
+        ref_q[checked] = samples[check]
+    counts = np.zeros(batch, dtype=int)
+    counts[live] = (~(clear >= clearance)).reshape(-1, per).sum(axis=1)  # NaN collides
     collision_term = config.collision_penalty * counts
-    limit_term = config.limit_penalty * limit_violation
     return path_len + collision_term + limit_term, path_len, collision_term, \
         limit_term, counts
 
@@ -406,14 +440,18 @@ def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
     slots = config.swarm_size * (w + 1) * SAMPLES_PER_SEGMENT
     refs = (np.zeros((slots, n)), np.full(slots, -np.inf))  # none checked yet
 
-    def swarm_scores(flat: np.ndarray) -> np.ndarray:
+    def swarm_scores(flat: np.ndarray, ceiling) -> np.ndarray:
+        # `ceiling` is the personal best: a particle whose lower bound
+        # reaches it gets that bound, not its score, which is all that
+        # `scores < pbest_score` needs
         batch = flat.shape[0]
         paths = np.concatenate([
             np.broadcast_to(start, (batch, 1, n)),
             flat.reshape(batch, w, n),
             np.broadcast_to(goal, (batch, 1, n)),
         ], axis=1)                              # (B, W+2, N)
-        return _score(paths, chain, arrays, config, margin, refs=refs)[0]
+        return _score(paths, chain, arrays, config, margin, refs=refs,
+                      ceiling=ceiling)[0]
 
     # sampling box: per-joint span of {start, goal} inflated by 20%, clipped to limits
     box_lo = np.minimum(start, goal)
@@ -429,7 +467,7 @@ def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
     positions[0] = line.reshape(-1)
     velocities = np.zeros_like(positions)
 
-    scores = swarm_scores(positions)
+    scores = swarm_scores(positions, np.inf)    # no personal best yet
     pbest_pos = positions.copy()
     pbest_score = scores.copy()
     gbest_idx = int(np.argmin(scores))
@@ -445,7 +483,7 @@ def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
                       + config.social * r2 * (gbest_pos[None, :] - positions))
         positions = np.clip(positions + velocities,
                             np.tile(lo, w), np.tile(hi, w))
-        scores = swarm_scores(positions)
+        scores = swarm_scores(positions, pbest_score)
         improved = scores < pbest_score
         pbest_pos[improved] = positions[improved]
         pbest_score[improved] = scores[improved]

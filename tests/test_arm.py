@@ -265,8 +265,9 @@ def test_fk_rejects_non_finite_q(run_config, bad):
     chain = run_config.arm
     q = np.zeros(chain.n_joints)
     q[0] = bad
-    with pytest.raises(ValueError, match="q must be finite"):
-        forward_kinematics(chain, q)
+    for kinematics in (forward_kinematics, jacobian, link_points):
+        with pytest.raises(ValueError, match="q must be finite"):
+            kinematics(chain, q)
     # the planner's batch keeps its NaN rows (past the fixed base point),
     # which collide
     points = link_points_batch(chain, np.stack([q, np.zeros(chain.n_joints)]))

@@ -2,7 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from harvestcell import cli
 from harvestcell.config import default_config_path
 from harvestcell.errors import ParseError, ValidationError
 from harvestcell.perception import (DEPTH_MAGIC, load_depth_frame,
-                                    load_detections)
+                                    load_detections, write_depth_frame)
 
 
 def _shipped_raw():
@@ -250,6 +252,19 @@ def test_pick_stats_no_ripe_target(tmp_path, detection_fixture):
     assert not out.exists()
 
 
+def test_pick_stats_depth_frame_of_another_size(tmp_path, detection_fixture,
+                                                capsys):
+    det, _ = detection_fixture
+    depth = tmp_path / "small.bin"
+    write_depth_frame(depth, np.full((4, 4), 0.35, dtype=np.float32))
+    out = tmp_path / "stats.json"
+    code = cli.main(["--quiet", "--out", str(out), "pick-stats",
+                     "--detections", str(det), "--depth", str(depth)])
+    assert code == 1
+    assert not out.exists() and not (tmp_path / "stats.trials.csv").exists()
+    assert "4x4 frame does not match the 1280x720" in _assert_one_line_error(capsys)
+
+
 def test_pick_stats_parse_error(tmp_path, detection_fixture):
     _, depth = detection_fixture
     det = tmp_path / "bad.json"
@@ -405,3 +420,104 @@ def test_fuzzed_depth_frames_rejected_cleanly(fuzz_dir, detection_fixture, blob)
                                    fuzz_dir / "stats.json")
     else:
         assert frame.ndim == 2 and frame.dtype == np.float32
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["out.csv", "torque-curve", "--theta", "45"], id="bad-command"),
+    pytest.param(["plan"], id="missing-goal"),
+    pytest.param(["torque-curve", "--theta", "4 5"], id="bad-float"),
+    pytest.param(["--config", "a\nb", "torque-curve", "--theta", "45"],
+                 id="line-break-in-path"),
+])
+def test_rejected_argv_is_one_line_exit_1(tmp_path, capsys, monkeypatch, argv):
+    # argparse prints its usage too and exits 2, the infeasible-endpoints
+    # code; a path with a line break made a two-line message
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc_info:
+        sys.exit(cli.main(["--quiet"] + argv))
+    assert exc_info.value.code == 1
+    _assert_one_line_error(capsys)
+    assert not list(tmp_path.iterdir())
+
+
+# --- fuzzed command lines: one argument of a known-good argv per subcommand
+# is replaced, dropped or preceded by a hostile token; main ends in exit code
+# 0-4 with at most one stderr line, no traceback and, when it fails, no
+# output file (exit 3 writes its best-effort plan by design)
+
+_GOOD_ARGV = {
+    "torque-curve": ["--quiet", "--out", "out.csv", "torque-curve",
+                     "--theta", "45", "--steps", "5", "--p-max", "10"],
+    "solve-mechanism": ["--quiet", "--out", "out.csv", "solve-mechanism",
+                        "--start", "30", "--end", "40", "--step", "5"],
+    "plan": ["--quiet", "--config", "{config}", "--seed", "5", "--out",
+             "out.json", "plan", "--goal", "0.3,0.1,0.2,0.5,0.1"],
+    "pick-stats": ["--quiet", "--config", "{config}", "--seed", "11", "--out",
+                   "out.json", "pick-stats", "--detections", "{det}",
+                   "--depth", "{depth}", "--trials", "20",
+                   "--policy", "highest-score"],
+}
+
+# no large integers: a count such as --trials is not bounded above
+_TOKENS = ["", " ", "0", "-1", "2", "3.5", "nan", "inf", "-inf", "1e400",
+           "1e-320", "0x10", "abc", "\u00e9", "a\nb", "-", "--", "--bogus",
+           "--quiet", "plan", "1,2", "0,0,0,0,0,0", "0,0,0,3,0",
+           "missing.json", "."]
+
+
+@st.composite
+def _mutated_argv(draw, command):
+    argv = list(_GOOD_ARGV[command])
+    at = draw(st.integers(0, len(argv) - 1))
+    edit = draw(st.sampled_from(["replace", "drop", "insert"]))
+    if edit == "drop":
+        del argv[at]
+    else:
+        argv[at:at + (edit == "replace")] = [draw(st.sampled_from(_TOKENS))]
+    return argv
+
+
+def _assert_main_contained(argv, inputs, root):
+    argv = [arg.format(**inputs) if arg.startswith("{") else arg
+            for arg in argv]
+    work = root / str(len(list(root.iterdir())))
+    work.mkdir()
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)     # a mutated --out, or its default, lands in `work`
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:       # argparse: --help, or a rejected argv
+        code = exc.code or 0
+    finally:
+        os.chdir(cwd)
+    text = err.getvalue()
+    assert 0 <= code <= 4, (argv, code, text)
+    assert text.count("\n") <= 1 and "Traceback" not in text, (argv, text)
+    if code not in (0, 3):
+        assert not list(work.iterdir()), argv
+    return code
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory, fast_config_path, detection_fixture):
+    det, depth = detection_fixture
+    return ({"config": fast_config_path, "det": str(det), "depth": str(depth)},
+            tmp_path_factory.mktemp("argv"))
+
+
+@pytest.mark.parametrize("command, examples", [
+    ("torque-curve", 25), ("solve-mechanism", 25), ("plan", 12),
+    ("pick-stats", 12)])
+def test_fuzzed_argv_fails_cleanly(argv_inputs, command, examples):
+    inputs, root = argv_inputs
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(argv=_mutated_argv(command))
+    def check(argv):
+        _assert_main_contained(argv, inputs, root)
+
+    assert _assert_main_contained(_GOOD_ARGV[command], inputs, root) == 0
+    check()

@@ -90,6 +90,10 @@ def _put(section, key, value):
                  "pick_cycle.punnet_position", id="inf-punnet"),
     pytest.param(_put("pso", "swarm_size", 2.7), "pso.swarm_size",
                  id="fractional-swarm"),
+    pytest.param(_put("pso", "collision_penalty", -1), "'pso': collision_penalty",
+                 id="negative-collision-penalty"),
+    pytest.param(_put("pso", "limit_penalty", -5.0), "'pso': limit_penalty",
+                 id="negative-limit-penalty"),
     pytest.param(_put("mechanism", "finger_count", 2.5), "mechanism.finger_count",
                  id="fractional-fingers"),
     pytest.param(_four_entry_home_q, "arm.home_q", id="short-home-q"),

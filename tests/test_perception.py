@@ -297,6 +297,15 @@ def test_select_target_no_ripe():
         select_target([unripe], IDENTITY_CAM, frame)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (480, 641), (640, 480)])
+def test_select_target_rejects_frame_of_another_size(shape):
+    # every keypoint of a smaller frame would fall outside it and end in
+    # NoRipeTarget; the error names both sizes instead
+    frame = np.ones(shape)
+    with pytest.raises(ValidationError, match=rf"{shape[1]}x{shape[0]} frame .* 640x480"):
+        select_target([_ripe_at(2.0, 2.0)], IDENTITY_CAM, frame)
+
+
 def test_select_target_skips_unbuildable():
     frame = np.ones((480, 640))
     frame[200:280, 120:200] = 0.0  # depth hole under the first tomato

@@ -20,6 +20,12 @@ EMPTY = Scene(workspace_bounds=BOUNDS)
 
 # small swarm for unit tests; the shipped defaults run in test_acceptance
 FAST_PSO = PsoConfig(swarm_size=12, iterations=40, seed=1)
+# the pinned plans' goal: the IK answer for tool point (0.45, 0, 0.32)
+# pointing up, written out so that their digests pin the planner alone, not
+# IK rounding
+PINNED_GOAL = np.array([float.fromhex(x) for x in (
+    "0x0.0p+0", "0x1.d78e2a5d92c20p-1", "-0x1.ba55f3bd2e759p-2",
+    "-0x1.07a8a6c0e3dc7p+1", "0x0.0p+0")])
 
 
 @pytest.fixture
@@ -354,6 +360,52 @@ def test_certified_scores_equal_full_evaluation(chain, run_config, monkeypatch):
     assert certified_calls[6] == repeated  # only the colliding ones
 
 
+def test_ceiling_skips_only_bounded_polylines(chain, run_config, monkeypatch):
+    # a polyline whose path length + limit term reaches its ceiling is not
+    # checked and reports that bound; every other one scores as in full
+    arrays = _scene_arrays(chain, run_config.scene)
+    goal = chain.home_q + np.array([0.0, 0.9, -0.9, 0.2, 0.0])
+    rng = np.random.default_rng(8)
+    batch, w, n = 9, 3, chain.n_joints
+    inner = np.linspace(chain.home_q, goal, w + 2)[1:-1]
+    inner = inner[None] + rng.normal(scale=0.4, size=(batch, w, n))
+    inner[:3, 0, 1] = 2.5                       # past the joint-1 limit
+    paths = np.concatenate([np.broadcast_to(chain.home_q, (batch, 1, n)),
+                            inner, np.broadcast_to(goal, (batch, 1, n))], axis=1)
+    margin = FAST_PSO.clearance + FAST_PSO.penalty_margin
+    full = _score(paths, chain, arrays, FAST_PSO, margin)
+    bound = full[1] + full[3]
+    assert np.all(full[0] >= bound)
+    assert full[-1].sum() > 0 and np.all(full[3][:3] > 0.0)
+    # skipped: ceiling at or below the bound; live: just above it, or inf
+    skipped = np.arange(batch) % 3 == 0
+    ceiling = np.where(skipped, bound, np.nextafter(bound, np.inf))
+    ceiling[3] *= 0.5
+    ceiling[1::3] = np.inf
+    slots = batch * (w + 1) * 20
+    refs = (np.zeros((slots, n)), np.full(slots, -np.inf))
+    checked = []
+    real = planner.link_points_batch
+
+    def spy(chain, qs):
+        checked.append(len(qs))
+        return real(chain, qs)
+
+    monkeypatch.setattr(planner, "link_points_batch", spy)
+    got = _score(paths, chain, arrays, FAST_PSO, margin, refs=refs,
+                 ceiling=ceiling)
+    for part, want in zip(got, full):
+        assert np.array_equal(part[~skipped], want[~skipped])
+    assert np.array_equal(got[0][skipped], bound[skipped])
+    assert np.all(got[0][skipped] >= ceiling[skipped])
+    assert not got[-1][skipped].any()
+    assert checked == [(batch - skipped.sum()) * (w + 1) * 20]
+    # a skipped polyline's slots keep their references
+    per_slot = np.repeat(skipped, (w + 1) * 20)
+    assert np.all(refs[1][per_slot] == -np.inf)
+    assert np.all(np.isfinite(refs[1][~per_slot]))
+
+
 def test_fitness_dimension_checks(chain):
     with pytest.raises(DimensionMismatch):
         fitness(np.zeros((3, 2)), chain, EMPTY, FAST_PSO)
@@ -409,23 +461,70 @@ def test_plan_deterministic(chain, run_config):
     assert first.fitness == second.fitness
 
 
-def test_plan_trajectory_bytes_pinned(chain, run_config):
-    # SHA-256 of a small-swarm approach plan on the shipped scene whose
-    # first gbest still collides, taken before the per-pair cull; a change
-    # that claims the same answers faster must keep it (numpy 2.x, x86-64).
-    # The goal is the IK answer for tool point (0.45, 0, 0.32) pointing up,
-    # written out so that the digest pins the planner alone, not IK rounding.
-    goal = np.array([float.fromhex(x) for x in (
-        "0x0.0p+0", "0x1.d78e2a5d92c20p-1", "-0x1.ba55f3bd2e759p-2",
-        "-0x1.07a8a6c0e3dc7p+1", "0x0.0p+0")])
-    traj = plan_trajectory(chain, chain.home_q, goal, run_config.scene, FAST_PSO)
+def _plan_digest(traj) -> str:
     digest = hashlib.sha256()
     digest.update(traj.waypoints.tobytes())
     digest.update(np.float64(traj.fitness).tobytes())
     digest.update(np.array(traj.gbest_trace).tobytes())
+    return digest.hexdigest()
+
+
+def test_plan_trajectory_bytes_pinned(chain, run_config):
+    # SHA-256 of a small-swarm approach plan on the shipped scene whose
+    # first gbest still collides, taken before the per-pair cull; a change
+    # that claims the same answers faster must keep it (numpy 2.x, x86-64)
+    traj = plan_trajectory(chain, chain.home_q, PINNED_GOAL, run_config.scene,
+                           FAST_PSO)
     assert traj.gbest_trace[0] > FAST_PSO.collision_penalty
-    assert digest.hexdigest() == (
+    assert _plan_digest(traj) == (
         "eda36a5d5a8c3bc228cf5309782151fb285817874be5b48a073265b79df07fa2")
+
+
+def test_swarm_bytes_pinned_full_size(chain, run_config):
+    # SHA-256 of a shipped-default swarm (30 particles, 150 iterations)
+    # approach plan at seed 11, to the same goal, taken
+    # at commit 8b70dfa, before the swarm skipped particles whose lower bound
+    # reaches their personal best (numpy 2.x, x86-64)
+    config = replace(run_config.pso, seed=11)
+    assert (config.swarm_size, config.iterations) == (30, 150)
+    traj = plan_trajectory(chain, chain.home_q, PINNED_GOAL, run_config.scene,
+                           config)
+    assert _plan_digest(traj) == (
+        "f72a528e82130fc83052b69328456ce6f238f46b44a5695a32c7818690e59b8c")
+
+
+def test_swarm_skips_particles_bounded_by_pbest(chain, run_config, monkeypatch):
+    # the pinned FAST_PSO plan: after the first swarm call no call checks
+    # the whole (particle x segment x sample) layout, and the plan checks
+    # under half of the 19,197 configurations that commit 8b70dfa checked
+    # for it (sample certificate only, every particle scored)
+    checked = []
+    real = planner.link_points_batch
+
+    def spy(chain, qs):
+        checked.append(len(qs))
+        return real(chain, qs)
+
+    monkeypatch.setattr(planner, "link_points_batch", spy)
+    plan_trajectory(chain, chain.home_q, PINNED_GOAL, run_config.scene, FAST_PSO)
+    layout = FAST_PSO.swarm_size * (FAST_PSO.waypoints_per_particle + 1) * 20
+    # endpoints, first swarm call, one call per iteration, final breakdown
+    assert len(checked) == FAST_PSO.iterations + 3
+    assert checked[:2] == [2, layout]
+    assert all(c < layout for c in checked[2:-1])
+    assert sum(checked) < 19_197 // 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("collision_penalty", -1.0), ("limit_penalty", -5.0),
+    ("collision_penalty", np.nan), ("limit_penalty", np.inf),
+    ("penalty_margin", np.nan), ("clearance", np.nan), ("clearance", -np.inf),
+])
+def test_pso_config_rejects_what_breaks_the_score_bound(field, value):
+    # a negative or non-finite penalty would let a colliding particle score
+    # below its path length + limit term, the swarm's lower bound
+    with pytest.raises(ConfigError, match=field):
+        PsoConfig(**{field: value})
 
 
 def test_plan_trace_monotone_and_lower_bound(chain, run_config):
