@@ -23,14 +23,19 @@ import numpy as np
 
 from . import mechanism
 from .arm import IkOptions, KinematicChain, solve_ik_point
-from .errors import (CalibrationFailed, ConfigError, InfeasibleEndpoints,
-                     NoConvergence, NoFeasibleFound)
+from .errors import CalibrationFailed, ConfigError, NoConvergence
 from .mechanism import MechanismParams
 from .perception import TargetTomato
-from .planner import PsoConfig, Scene, Trajectory, plan_trajectory
+# plan_trajectory is not called here; harvestbench's traced run wraps
+# `harvest.plan_trajectory` by name, so the name stays importable
+from .planner import (PsoConfig, Scene, Trajectory,  # noqa: F401
+                      plan_trajectories, plan_trajectory)
 
 STAGES = ("approach", "separate", "cut", "grasp", "depart", "release")
 OUTCOMES = ("success", "fail_cut_missed", "fail_no_plan", "fail_unreachable")
+# Most trials one batch may ask for: its per-trial arrays take about 0.25 KB
+# a trial, and a report list several times that.
+_MAX_TRIALS = 1_000_000
 
 
 def default_stage_means() -> dict[str, float]:
@@ -132,11 +137,22 @@ def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
                cycle_config: PickCycleConfig) -> CyclePlans:
     """Plan the kinematic skeleton of a cycle (no randomness involved).
 
-    Computes the pre-grasp and grasp IK solutions, the approach and depart
-    trajectories and the nominal cut-zone center. Failures are recorded as
-    (failure_stage, failure_outcome) rather than raised, so Monte Carlo
-    trials can account them as cycle outcomes; a depart failure keeps the
-    cut center, because the cut runs before depart.
+    Solves the pre-grasp, grasp and punnet IK first: their seeds are
+    home_q and q_pregrasp, never a plan. Then it plans the approach
+    (home_q -> q_pregrasp, full scene) and the depart (q_pregrasp ->
+    q_punnet, the scene without the grasped tomato) in one swarm loop, each
+    plan bit-for-bit the one planned alone; the depart is planned only when
+    both IK solves it needs succeed. Also computes the nominal cut-zone
+    center.
+
+    Failures are recorded as (failure_stage, failure_outcome) rather than
+    raised, so Monte Carlo trials can account them as cycle outcomes. The
+    first that applies, in cycle order, is reported: pre-grasp IK
+    (approach, fail_unreachable; nothing is planned), the approach plan
+    (approach, fail_no_plan), grasp IK (separate, fail_unreachable), punnet
+    IK (depart, fail_unreachable), the depart plan (depart, fail_no_plan).
+    Each failure keeps what the cycle had reached before it; a depart
+    failure keeps the cut center, because the cut runs before depart.
     """
     if chain.home_q is None:
         raise ConfigError("chain has no home_q; harvest cycles need one")
@@ -149,43 +165,45 @@ def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
     nominal_cut_center = center + cycle_config.cut_trigger_distance * toward_pedicel
 
     ik_opts = IkOptions()
-    try:
-        q_pregrasp = solve_ik_point(chain, pregrasp_pos, toward_pedicel,
-                                    chain.home_q, ik_opts)
-    except NoConvergence:
+
+    def solve(position, axis, seed_q):
+        try:
+            return solve_ik_point(chain, position, axis, seed_q, ik_opts)
+        except NoConvergence:
+            return None
+
+    q_pregrasp = solve(pregrasp_pos, toward_pedicel, chain.home_q)
+    if q_pregrasp is None:
         return CyclePlans(failure_stage="approach",
                           failure_outcome="fail_unreachable")
-    try:
-        approach = plan_trajectory(chain, chain.home_q, q_pregrasp, scene,
-                                   planner_config)
-    except (InfeasibleEndpoints, NoFeasibleFound):
+    # separate: advance by insertion_depth so the gripper center reaches the tomato
+    q_grasp = solve(center, toward_pedicel, q_pregrasp)
+    q_punnet = solve(cycle_config.punnet_position, np.array([0.0, 0.0, -1.0]),
+                     chain.home_q)
+
+    problems = [(chain.home_q, q_pregrasp, scene)]
+    if q_grasp is not None and q_punnet is not None:
+        # depart: the grasped tomato leaves the scene; retract to pre-grasp and go
+        problems.append((q_pregrasp, q_punnet,
+                         scene.without_sphere_containing(center)))
+    planned = plan_trajectories(chain, problems, planner_config)
+
+    approach = planned[0]
+    if isinstance(approach, Exception):
         return CyclePlans(q_pregrasp=q_pregrasp, failure_stage="approach",
                           failure_outcome="fail_no_plan")
-
-    # separate: advance by insertion_depth so the gripper center reaches the tomato
-    try:
-        q_grasp = solve_ik_point(chain, center, toward_pedicel, q_pregrasp, ik_opts)
-    except NoConvergence:
+    if q_grasp is None:
         return CyclePlans(q_pregrasp=q_pregrasp, approach_trajectory=approach,
                           failure_stage="separate",
                           failure_outcome="fail_unreachable")
-
-    # depart: the grasped tomato leaves the scene; retract to pre-grasp and go
-    scene_after = scene.without_sphere_containing(center)
-    try:
-        q_punnet = solve_ik_point(chain, cycle_config.punnet_position,
-                                  np.array([0.0, 0.0, -1.0]), chain.home_q,
-                                  ik_opts)
-    except NoConvergence:
+    if q_punnet is None:
         return CyclePlans(q_pregrasp=q_pregrasp, q_grasp=q_grasp,
                           approach_trajectory=approach,
                           nominal_cut_center=nominal_cut_center,
                           failure_stage="depart",
                           failure_outcome="fail_unreachable")
-    try:
-        depart = plan_trajectory(chain, q_pregrasp, q_punnet, scene_after,
-                                 planner_config)
-    except (InfeasibleEndpoints, NoFeasibleFound):
+    depart = planned[1]
+    if isinstance(depart, Exception):
         return CyclePlans(q_pregrasp=q_pregrasp, q_grasp=q_grasp,
                           q_punnet=q_punnet, approach_trajectory=approach,
                           nominal_cut_center=nominal_cut_center,
@@ -260,9 +278,12 @@ def monte_carlo(target: TargetTomato, chain: KinematicChain, scene: Scene,
     then fails at depart or succeeds. Timings and total_time cover executed
     stages only. Returns a MonteCarloSummary, or (summary, reports) when
     collect_reports is set. Time statistics cover successful trials only.
+    `trials` lies in [1, _MAX_TRIALS]; it is checked before any planning.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if trials > _MAX_TRIALS:
+        raise ConfigError(f"trials must be <= {_MAX_TRIALS}, got {trials}")
     if plans is None:
         plans = plan_cycle(target, chain, scene, planner_config, cycle_config)
     time_rng, noise_rng = _streams(cycle_config.seed)

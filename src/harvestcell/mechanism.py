@@ -30,6 +30,9 @@ _SINGULAR_TOL = 1e-9
 FD_STEP_RAD = 1e-5
 # Largest crank-angle grid a sweep may ask for.
 _MAX_ANGLES = 1_000_000
+# Most force samples a torque curve may ask for: each is one torque
+# solve and one result object, so a million already takes seconds.
+_MAX_FORCE_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -268,9 +271,12 @@ def torque_single_finger(params: MechanismParams, theta_deg: float,
 def force_torque_curve(params: MechanismParams, theta_deg: float,
                        p_min: float, p_max: float, steps: int,
                        branch: str = "elbow_up") -> list[TorqueResult]:
-    """Torque over evenly spaced grasp forces at fixed theta (linear in P)."""
+    """Torque over evenly spaced grasp forces at fixed theta (linear in P),
+    at 2 to _MAX_FORCE_STEPS forces."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    if steps > _MAX_FORCE_STEPS:
+        raise ValueError(f"steps must be <= {_MAX_FORCE_STEPS}, got {steps}")
     for name, bound in (("p_min", p_min), ("p_max", p_max)):
         if not 0.0 <= bound < math.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {bound!r}")

@@ -22,14 +22,28 @@ chain's compiled form. `_scene_arrays` compiles the scene once per public
 call against those: link half-lengths, and the exact clearance of the
 static links, measured once per call instead of once per configuration.
 
-The swarm scores its fixed batch layout (particle x segment x sample) every
-iteration, and a particle moves little between iterations. So for each
-sample slot `plan_trajectory` keeps the configuration last checked there
-and its clearance, and a new sample is counted free without a check when
-that clearance minus sum_i |dq_i| * levers[i] still clears the threshold:
-turning joint i by dq_i moves no body point farther than |dq_i| times the
-link lengths from joint i out to the tool (`chain.compiled.levers`). The
-counts, and so the swarm's bytes, are those of checking every sample;
+`plan_trajectories` plans P problems, each a (start, goal, scene), in one
+swarm loop, and `plan_trajectory` is its batch of one. Every iteration
+makes one `_score` call over all P x S particles, so the fixed cost of a
+call is paid once for all problems. `_scene_arrays` compiles the union of
+the problems' obstacles, the same object counted once, with a visibility
+mask per problem and each problem's own static clearance; `_link_clearance`
+reads a pair whose obstacle the row's problem does not see as inf before
+the narrow phase. The least pair is exact, so every row reads the
+clearance its own scene gives. Each problem draws from its own generator
+in the order a lone plan would, so every plan is bit-for-bit the one
+planned alone, and one problem's bad endpoint or failed search does not
+touch the others.
+
+The swarm scores its fixed batch layout (problem x particle x segment x
+sample) every iteration, and a particle moves little between iterations.
+So for each sample slot the swarm keeps the configuration last checked
+there and its clearance, and a new sample is counted free without a check
+when that clearance minus sum_i |dq_i| * levers[i] still clears the
+threshold: turning joint i by dq_i moves no body point farther than |dq_i|
+times the link lengths from joint i out to the tool
+(`chain.compiled.levers`). The counts, and so the swarm's bytes, are those
+of checking every sample;
 `fitness`, `recheck_feasible` and `collision_check` still check every one.
 
 Above the samples, the swarm skips whole particles, in the manner of lazy
@@ -187,50 +201,77 @@ class CollisionResult:
 
 
 class _SceneArrays(NamedTuple):
-    """One public call's scene and chain constants. Obstacle m has the core
+    """One public call's scene and chain constants, compiled once for the
+    union of the obstacles of P problem scenes. Obstacle m has the core
     segment core_a[m]-core_b[m] (a sphere's core is its center twice;
     spheres come first) and radius radii[m]. `reach[m, k]` is radii[m] plus
-    the half-length of moving link k plus a rounding slack."""
+    the half-length of moving link k plus a rounding slack. Problem p sees
+    obstacle m when visible[m, p]; `partial` lists the obstacles that some
+    problem does not see."""
 
     core_a: np.ndarray          # (M, 3)
     core_b: np.ndarray          # (M, 3)
     radii: np.ndarray           # (M,)
     n_spheres: int
     reach: np.ndarray           # (M, L)
-    static_clearance: float     # exact, over the static links; inf if none
+    visible: np.ndarray         # (M, P) bool
+    partial: np.ndarray         # obstacle indices
+    # (P,) exact, over the static links (inf if none); NO_OBSTACLE_CLEARANCE
+    # for a problem that sees no obstacle
+    static_clearance: np.ndarray
 
 
-def _scene_arrays(chain: KinematicChain, scene: Scene) -> _SceneArrays | None:
-    """Compile `scene` against `chain` for `_clearance`; None for an empty
-    scene. The static leading links are measured here, once."""
-    if not scene.spheres and not scene.capsules:
+def _distinct(items) -> list:
+    """`items` without repeats of the same object, in first-seen order."""
+    return list({id(item): item for item in items}.values())
+
+
+def _scene_arrays(chain: KinematicChain, *scenes: Scene) -> _SceneArrays | None:
+    """Compile the union of the obstacles of `scenes` (one per problem, by
+    object identity) against `chain` for `_clearance`; None when there are
+    none. The static leading links are measured here, once, and each
+    problem's static clearance is the least over the obstacles it sees; a
+    problem that sees none gets NO_OBSTACLE_CLEARANCE."""
+    spheres = _distinct(s for scene in scenes for s in scene.spheres)
+    capsules = _distinct(c for scene in scenes for c in scene.capsules)
+    if not spheres and not capsules:
         return None
-    centers = [np.asarray(s.center, dtype=float) for s in scene.spheres]
-    core_a = np.array(centers + [c.p0 for c in scene.capsules], dtype=float)
-    core_b = np.array(centers + [c.p1 for c in scene.capsules], dtype=float)
-    radii = np.array([s.radius for s in scene.spheres]
-                     + [c.radius for c in scene.capsules], dtype=float)
+    centers = [np.asarray(s.center, dtype=float) for s in spheres]
+    core_a = np.array(centers + [c.p0 for c in capsules], dtype=float)
+    core_b = np.array(centers + [c.p1 for c in capsules], dtype=float)
+    radii = np.array([s.radius for s in spheres]
+                     + [c.radius for c in capsules], dtype=float)
+    seen = [{id(o) for o in (*scene.spheres, *scene.capsules)} for scene in scenes]
+    visible = np.array([[id(o) in ids for ids in seen]
+                        for o in spheres + capsules])
     compiled = chain.compiled
     half = 0.5 * np.linalg.norm(compiled.offsets[1:], axis=1)  # link vectors
     reach = radii[:, None] + half[None, :] + _BOUND_SLACK
     first_moving = compiled.first_moving
-    arrays = _SceneArrays(core_a, core_b, radii, len(scene.spheres),
-                          reach[:, first_moving:], np.inf)
+    arrays = _SceneArrays(core_a, core_b, radii, len(spheres),
+                          reach[:, first_moving:], visible,
+                          np.flatnonzero(~visible.all(axis=1)), None)
+    least = np.full(len(radii), np.inf)         # per obstacle, static links
     if first_moving:
-        static = _link_clearance(compiled.static_points[None],
-                                 reach[:, :first_moving], arrays, np.inf)
-        arrays = arrays._replace(static_clearance=float(static.min()))
-    return arrays
+        least = _link_clearance(compiled.static_points[None],
+                                reach[:, :first_moving], arrays, np.inf
+                                ).reshape(len(radii), first_moving).min(axis=1)
+    static = np.where(visible, least[:, None], np.inf).min(axis=0)
+    static[~visible.any(axis=0)] = NO_OBSTACLE_CLEARANCE
+    return arrays._replace(static_clearance=static)
 
 
 def _link_clearance(pts: np.ndarray, reach: np.ndarray, arrays: _SceneArrays,
-                    cutoff: float) -> np.ndarray:
+                    cutoff: float, problem: np.ndarray | None = None
+                    ) -> np.ndarray:
     """(M*L, B) signed clearance of each (obstacle, link) pair, for the L
     links of a (B, L+1, 3) polyline batch: exact, or, where a cheaper lower
     bound already reaches `cutoff`, that bound. The bound is the distance
     from the link's midpoint to the obstacle's core minus `reach` (M, L),
     since no point of the link lies farther than its half-length from the
-    midpoint."""
+    midpoint. With `problem`, the (B,) problem of each polyline, a pair
+    whose obstacle that problem does not see reads inf and is not
+    measured."""
     batch = pts.shape[0]
     core_a = arrays.core_a
     caps = slice(arrays.n_spheres, None)
@@ -252,6 +293,9 @@ def _link_clearance(pts: np.ndarray, reach: np.ndarray, arrays: _SceneArrays,
     dist_sq[caps] -= t * (2.0 * wd - t * dd)
     dist = np.sqrt(np.maximum(dist_sq, 0.0))
     clear = dist.reshape(reach.shape + (batch,)) - reach[:, :, None]
+    if problem is not None:
+        for m in arrays.partial:
+            clear[m][:, ~arrays.visible[m, problem]] = np.inf
     pairs = np.flatnonzero(~(clear >= cutoff))  # NaN bounds too
     cols, rows = np.divmod(pairs, clear[0].size)
     links, configs = np.divmod(rows, batch)
@@ -269,21 +313,25 @@ def _link_clearance(pts: np.ndarray, reach: np.ndarray, arrays: _SceneArrays,
 
 
 def _clearance(chain: KinematicChain, qs: np.ndarray, arrays: _SceneArrays | None,
-               cutoff: float) -> np.ndarray:
-    """Signed clearance per configuration of a (B, N) batch: exact below
-    `cutoff`, at least `cutoff` elsewhere; NaN for a row that is not all
-    finite, and NO_OBSTACLE_CLEARANCE for the others when there are no
-    obstacles. Only the links that move with q are measured here; the
-    static ones were measured when the scene was compiled."""
+               cutoff: float, problem: np.ndarray | None = None) -> np.ndarray:
+    """Signed clearance per configuration of a (B, N) batch, each row in the
+    scene of its problem (`problem`, (B,) indices; None: all in problem 0):
+    exact below `cutoff`, at least `cutoff` elsewhere; NaN for a row that
+    is not all finite, and NO_OBSTACLE_CLEARANCE for the others when their
+    problem sees no obstacle. Only the links that move with q are measured
+    here; the static ones were measured when the scene was compiled. The
+    least pair is exact, so a row reads what its own scene alone gives."""
     finite = np.isfinite(qs).all(axis=1)
     if arrays is None:
         return np.where(finite, NO_OBSTACLE_CLEARANCE, np.nan)
+    if problem is None:
+        problem = np.zeros(qs.shape[0], dtype=np.intp)
     pts = link_points_batch(chain, qs)          # (B, N+1, 3)
     clear = _link_clearance(pts[:, chain.compiled.first_moving:], arrays.reach,
-                            arrays, cutoff)
+                            arrays, cutoff, problem)
     # row by row: min(axis=0) over these short columns is ~10x slower
     least = functools.reduce(np.minimum, clear,
-                             np.full(qs.shape[0], arrays.static_clearance))
+                             arrays.static_clearance[problem])
     return np.where(finite, least, np.nan)
 
 
@@ -303,11 +351,14 @@ def collision_check(chain: KinematicChain, q, scene: Scene,
 
 def _score(paths: np.ndarray, chain: KinematicChain, arrays, config: PsoConfig,
            clearance: float, samples_per_segment: int = SAMPLES_PER_SEGMENT,
-           refs: tuple[np.ndarray, np.ndarray] | None = None, ceiling=None):
+           refs: tuple[np.ndarray, np.ndarray] | None = None, ceiling=None,
+           problem: np.ndarray | None = None):
     """Per-polyline (score, path length, collision term, limit term,
     colliding samples) of a (B, W, N) batch. Each segment is sampled at
     t = 1/S ... S/S with S = samples_per_segment, so waypoints count once and
     the first row not at all (its validity is the planner's precondition).
+    `problem`, (B,) indices into the problems `arrays` was compiled for,
+    scores each polyline in its own problem's scene (None: problem 0).
 
     `refs`, a pair of (R, N) configurations and (R,) clearances, holds for
     each of the batch's R sample slots (polyline-major) the configuration
@@ -337,13 +388,15 @@ def _score(paths: np.ndarray, chain: KinematicChain, arrays, config: PsoConfig,
         live = np.arange(batch)
     else:
         live = np.flatnonzero(~(path_len + limit_term >= ceiling))
+    owner = np.zeros(batch, dtype=np.intp) if problem is None else problem
+    rows = np.repeat(owner[live], per)          # each sample's problem
     fractions = (np.arange(samples_per_segment) + 1.0) / samples_per_segment
     with np.errstate(invalid="ignore"):
         samples = (paths[live, :-1, None, :]
                    + fractions[None, None, :, None] * deltas[live, :, None, :]
                    ).reshape(-1, n)
     if refs is None:
-        clear = _clearance(chain, samples, arrays, clearance)
+        clear = _clearance(chain, samples, arrays, clearance, rows)
     else:
         slot = (live[:, None] * per + np.arange(per)).reshape(-1)
         ref_q, ref_clear = refs
@@ -355,8 +408,8 @@ def _score(paths: np.ndarray, chain: KinematicChain, arrays, config: PsoConfig,
         # a NaN bound never certifies
         check = np.flatnonzero(~(clear >= clearance + _BOUND_SLACK))
         checked = slot[check]
-        clear[check] = ref_clear[checked] = _clearance(chain, samples[check],
-                                                       arrays, clearance)
+        clear[check] = ref_clear[checked] = _clearance(
+            chain, samples[check], arrays, clearance, rows[check])
         ref_q[checked] = samples[check]
     counts = np.zeros(batch, dtype=int)
     counts[live] = (~(clear >= clearance)).reshape(-1, per).sum(axis=1)  # NaN collides
@@ -380,20 +433,22 @@ def fitness(candidate: Trajectory | np.ndarray, chain: KinematicChain,
         )
     if waypoints.shape[0] < 2:
         raise DimensionMismatch("trajectory needs at least start and goal rows")
-    return _breakdown(waypoints, chain, _scene_arrays(chain, scene), config)
+    return _breakdowns(waypoints[None], chain, _scene_arrays(chain, scene),
+                       config)[0]
 
 
-def _breakdown(waypoints: np.ndarray, chain: KinematicChain, arrays,
-               config: PsoConfig) -> FitnessBreakdown:
-    score, path_len, collision_term, limit_term, counts = _score(
-        waypoints[None], chain, arrays, config, config.clearance)
-    return FitnessBreakdown(
-        score=float(score[0]),
-        path_length=float(path_len[0]),
-        collision_penalty=float(collision_term[0]),
-        limit_penalty=float(limit_term[0]),
-        colliding_samples=int(counts[0]),
-    )
+def _breakdowns(paths: np.ndarray, chain: KinematicChain, arrays,
+                config: PsoConfig, problem: np.ndarray | None = None
+                ) -> list[FitnessBreakdown]:
+    """A FitnessBreakdown per polyline of a (B, W, N) batch, each in its
+    problem's scene, at the plain `clearance`."""
+    parts = _score(paths, chain, arrays, config, config.clearance,
+                   problem=problem)
+    return [FitnessBreakdown(score=score, path_length=path_len,
+                             collision_penalty=collision_term,
+                             limit_penalty=limit_term, colliding_samples=count)
+            for score, path_len, collision_term, limit_term, count
+            in zip(*(part.tolist() for part in parts))]
 
 
 def recheck_feasible(trajectory: Trajectory, chain: KinematicChain, scene: Scene,
@@ -407,102 +462,147 @@ def recheck_feasible(trajectory: Trajectory, chain: KinematicChain, scene: Scene
 
 def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
                     config: PsoConfig) -> Trajectory:
-    """Global-best PSO over intermediate waypoints between start and goal.
-
-    Particles are flattened waypoint vectors; the velocity update is
-    v <- w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x) with per-dimension
-    uniform draws made in particle order, and positions are clamped to the
-    joint limits, so results are reproducible bit-for-bit for a given seed.
+    """Global-best PSO over intermediate waypoints between start and goal:
+    `plan_trajectories` on one problem.
 
     Raises InfeasibleEndpoints, before any swarm work, if start or goal is
     not finite, lies outside the joint limits or collides; and
     NoFeasibleFound (carrying the best trajectory) if the best particle
     still has colliding samples after the final iteration.
     """
-    start = chain.check_q(start)
-    goal = chain.check_q(goal)
-    lo, hi = chain.limit_arrays()
-    for name, q in (("start", start), ("goal", goal)):
-        if not np.all((lo <= q) & (q <= hi)):  # also false for NaN
-            raise InfeasibleEndpoints(
-                f"{name} configuration {q.tolist()} is not finite or outside "
-                f"the joint limits")
-    arrays = _scene_arrays(chain, scene)
-    endpoint_clear = _clearance(chain, np.vstack([start, goal]), arrays, np.inf)
-    for name, clear in zip(("start", "goal"), endpoint_clear):
-        if clear < config.clearance:
-            raise InfeasibleEndpoints(f"{name} configuration collides with the scene")
+    result, = plan_trajectories(chain, [(start, goal, scene)], config)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
+
+def plan_trajectories(chain: KinematicChain, problems, config: PsoConfig
+                      ) -> list[Trajectory | InfeasibleEndpoints | NoFeasibleFound]:
+    """Plan a sequence of P problems, each a (start, goal, scene), in one
+    swarm loop.
+
+    Particles are flattened waypoint vectors; the velocity update is
+    v <- w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x) with per-dimension
+    uniform draws made in particle order, and positions are clamped to the
+    joint limits. Each problem draws from its own default_rng(config.seed)
+    in the order a lone plan would, and every row is scored in its own
+    problem's scene, so each plan is bit-for-bit the one planned alone;
+    the problems only share one `_score` call per iteration.
+
+    Returns one entry per problem: its Trajectory, or the exception planning
+    it alone raises. InfeasibleEndpoints, before any swarm work, when start
+    or goal is not finite, lies outside the joint limits or collides;
+    NoFeasibleFound (carrying the best trajectory) when the best particle
+    still has colliding samples after the final iteration. Neither stops or
+    perturbs the other problems.
+    """
     n = chain.n_joints
+    lo, hi = chain.limit_arrays()
+    results: list = [None] * len(problems)
+    ends = []
+    for p, (start, goal, _) in enumerate(problems):
+        ends.append((chain.check_q(start), chain.check_q(goal)))
+        for name, q in zip(("start", "goal"), ends[p]):
+            if not np.all((lo <= q) & (q <= hi)):  # also false for NaN
+                results[p] = InfeasibleEndpoints(
+                    f"{name} configuration {q.tolist()} is not finite or "
+                    f"outside the joint limits")
+                break
+    live = [p for p in range(len(problems)) if results[p] is None]
+    if not live:
+        return results
+    arrays = _scene_arrays(chain, *(scene for _, _, scene in problems))
+    endpoints = np.array([ends[p] for p in live]).reshape(-1, n)
+    endpoint_clear = _clearance(chain, endpoints, arrays, np.inf,
+                                np.repeat(live, 2))
+    for p, pair in zip(live, endpoint_clear.reshape(-1, 2)):
+        for name, clear in zip(("start", "goal"), pair):
+            if clear < config.clearance:
+                results[p] = InfeasibleEndpoints(
+                    f"{name} configuration collides with the scene")
+                break
+    live = np.array([p for p in live if results[p] is None], dtype=np.intp)
+    if not live.size:
+        return results
+
+    count, size = len(live), config.swarm_size
     w = config.waypoints_per_particle
     dims = w * n
+    starts = np.array([ends[p][0] for p in live])
+    goals = np.array([ends[p][1] for p in live])
+    owner = np.repeat(live, size)               # each particle's problem
     margin = config.clearance + config.penalty_margin
-    slots = config.swarm_size * (w + 1) * SAMPLES_PER_SEGMENT
+    slots = count * size * (w + 1) * SAMPLES_PER_SEGMENT
     refs = (np.zeros((slots, n)), np.full(slots, -np.inf))  # none checked yet
 
-    def swarm_scores(flat: np.ndarray, ceiling) -> np.ndarray:
+    def swarm_scores(positions: np.ndarray, ceiling) -> np.ndarray:
         # `ceiling` is the personal best: a particle whose lower bound
         # reaches it gets that bound, not its score, which is all that
         # `scores < pbest_score` needs
-        batch = flat.shape[0]
         paths = np.concatenate([
-            np.broadcast_to(start, (batch, 1, n)),
-            flat.reshape(batch, w, n),
-            np.broadcast_to(goal, (batch, 1, n)),
-        ], axis=1)                              # (B, W+2, N)
+            np.broadcast_to(starts[:, None, None], (count, size, 1, n)),
+            positions.reshape(count, size, w, n),
+            np.broadcast_to(goals[:, None, None], (count, size, 1, n)),
+        ], axis=2).reshape(count * size, w + 2, n)
         return _score(paths, chain, arrays, config, margin, refs=refs,
-                      ceiling=ceiling)[0]
+                      ceiling=ceiling, problem=owner)[0].reshape(count, size)
 
     # sampling box: per-joint span of {start, goal} inflated by 20%, clipped to limits
-    box_lo = np.minimum(start, goal)
-    box_hi = np.maximum(start, goal)
+    box_lo = np.minimum(starts, goals)
+    box_hi = np.maximum(starts, goals)
     span = box_hi - box_lo
     box_lo = np.maximum(box_lo - 0.2 * span, lo)
     box_hi = np.minimum(box_hi + 0.2 * span, hi)
 
-    rng = np.random.default_rng(config.seed)
-    positions = rng.uniform(
-        np.tile(box_lo, w), np.tile(box_hi, w), size=(config.swarm_size, dims))
-    line = np.linspace(start, goal, w + 2)[1:-1]
-    positions[0] = line.reshape(-1)
+    rngs = [np.random.default_rng(config.seed) for _ in live]
+    positions = np.array([
+        rng.uniform(np.tile(b_lo, w), np.tile(b_hi, w), size=(size, dims))
+        for rng, b_lo, b_hi in zip(rngs, box_lo, box_hi)])   # (P, S, dims)
+    for k in range(count):
+        positions[k, 0] = np.linspace(starts[k], goals[k], w + 2)[1:-1].reshape(-1)
     velocities = np.zeros_like(positions)
+    q_lo, q_hi = np.tile(lo, w), np.tile(hi, w)
+    each = np.arange(count)
 
     scores = swarm_scores(positions, np.inf)    # no personal best yet
     pbest_pos = positions.copy()
     pbest_score = scores.copy()
-    gbest_idx = int(np.argmin(scores))
-    gbest_pos = positions[gbest_idx].copy()
-    gbest_score = float(scores[gbest_idx])
-    trace = [gbest_score]
+    best_idx = np.argmin(scores, axis=1)
+    gbest_pos = positions[each, best_idx]       # (P, dims) copy
+    gbest_score = scores[each, best_idx]
+    trace = [gbest_score.copy()]
 
     for _ in range(config.iterations):
-        r1 = rng.random((config.swarm_size, dims))
-        r2 = rng.random((config.swarm_size, dims))
+        draws = np.array([(rng.random((size, dims)), rng.random((size, dims)))
+                          for rng in rngs])
+        r1, r2 = draws[:, 0], draws[:, 1]
         velocities = (config.inertia * velocities
                       + config.cognitive * r1 * (pbest_pos - positions)
-                      + config.social * r2 * (gbest_pos[None, :] - positions))
-        positions = np.clip(positions + velocities,
-                            np.tile(lo, w), np.tile(hi, w))
-        scores = swarm_scores(positions, pbest_score)
+                      + config.social * r2 * (gbest_pos[:, None] - positions))
+        positions = np.clip(positions + velocities, q_lo, q_hi)
+        scores = swarm_scores(positions, pbest_score.reshape(-1))
         improved = scores < pbest_score
         pbest_pos[improved] = positions[improved]
         pbest_score[improved] = scores[improved]
-        best_idx = int(np.argmin(pbest_score))
-        if float(pbest_score[best_idx]) < gbest_score:
-            gbest_score = float(pbest_score[best_idx])
-            gbest_pos = pbest_pos[best_idx].copy()
-        trace.append(gbest_score)
+        best_idx = np.argmin(pbest_score, axis=1)
+        best = pbest_score[each, best_idx]
+        better = best < gbest_score
+        gbest_score[better] = best[better]
+        gbest_pos[better] = pbest_pos[better, best_idx[better]]
+        trace.append(gbest_score.copy())
 
-    waypoints = np.vstack([start, gbest_pos.reshape(w, n), goal])
-    breakdown = _breakdown(waypoints, chain, arrays, config)
-    feasible = breakdown.colliding_samples == 0 and breakdown.limit_penalty == 0.0
-    result = Trajectory(
-        waypoints=waypoints,
-        fitness=breakdown.score,
-        feasible=feasible,
-        breakdown=breakdown,
-        gbest_trace=tuple(trace),
-    )
-    if not feasible:
-        raise NoFeasibleFound(result)
-    return result
+    waypoints = np.concatenate([starts[:, None], gbest_pos.reshape(count, w, n),
+                                goals[:, None]], axis=1)
+    traces = np.array(trace).T.tolist()
+    for k, (p, breakdown) in enumerate(zip(
+            live, _breakdowns(waypoints, chain, arrays, config, live))):
+        feasible = breakdown.colliding_samples == 0 and breakdown.limit_penalty == 0.0
+        result = Trajectory(
+            waypoints=waypoints[k],
+            fitness=breakdown.score,
+            feasible=feasible,
+            breakdown=breakdown,
+            gbest_trace=tuple(traces[k]),
+        )
+        results[p] = result if feasible else NoFeasibleFound(result)
+    return results

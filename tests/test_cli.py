@@ -5,6 +5,7 @@ import json
 import os
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harvestcell import cli
+from harvestcell import cli, harvest, mechanism
 from harvestcell.config import default_config_path
 from harvestcell.errors import ParseError, ValidationError
 from harvestcell.perception import (DEPTH_MAGIC, load_depth_frame,
@@ -66,6 +67,52 @@ def test_torque_curve_theta_out_of_range(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "theta_range" in err and "120" in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a count past its bound reached the work it sizes")
+
+
+def _peak_alloc_bytes(run) -> tuple[object, int]:
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("steps", [str(mechanism._MAX_FORCE_STEPS + 1),
+                                   "100000000000000"])
+def test_torque_curve_steps_past_bound(tmp_path, capsys, monkeypatch, steps):
+    monkeypatch.setattr(mechanism, "torque_single_finger", _refuse)
+    out = tmp_path / "curve.csv"
+    code, peak = _peak_alloc_bytes(lambda: cli.main(
+        ["--quiet", "--out", str(out), "torque-curve", "--theta", "45",
+         "--steps", steps]))
+    assert code == 1
+    assert not out.exists()
+    assert "steps must be <=" in _assert_one_line_error(capsys)
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("trials", [str(harvest._MAX_TRIALS + 1),
+                                    "100000000000000"])
+def test_pick_stats_trials_past_bound(tmp_path, capsys, monkeypatch,
+                                      detection_fixture, trials):
+    # refused before planning; the only sizeable allocation left is the
+    # 3.7 MB depth frame
+    monkeypatch.setattr(harvest, "plan_cycle", _refuse)
+    det, depth = detection_fixture
+    out = tmp_path / "stats.json"
+    code, peak = _peak_alloc_bytes(lambda: cli.main(
+        ["--quiet", "--out", str(out), "pick-stats", "--detections", str(det),
+         "--depth", str(depth), "--trials", trials]))
+    assert code == 1
+    assert not out.exists()
+    assert not (tmp_path / "stats.trials.csv").exists()
+    assert "trials must be <=" in _assert_one_line_error(capsys)
+    assert peak < 16 << 20
 
 
 def test_solve_mechanism_sweep_residuals(tmp_path):

@@ -54,13 +54,15 @@ def _ground_truth_segseg(p1, q1, p2, q2):
         diff = (p1 + x[0] * u) - (p2 + x[1] * v)
         return diff @ diff
 
+    # |p1 + s u - p2 - t v|^2 is a convex quadratic in (s, t) and the unit
+    # box is convex, so every local minimum is global: a few starts (the
+    # corners and the centre) guard only against an early stop
     best = np.inf
-    for s0 in np.linspace(0, 1, 7):
-        for t0 in np.linspace(0, 1, 7):
-            res = minimize(objective, [s0, t0], bounds=[(0, 1), (0, 1)],
-                           method="L-BFGS-B",
-                           options={"ftol": 1e-18, "gtol": 1e-14})
-            best = min(best, res.fun)
+    for start in ([0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.5, 0.5]):
+        res = minimize(objective, start, bounds=[(0, 1), (0, 1)],
+                       method="L-BFGS-B",
+                       options={"ftol": 1e-18, "gtol": 1e-14})
+        best = min(best, res.fun)
     return np.sqrt(best)
 
 

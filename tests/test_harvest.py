@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -7,12 +8,14 @@ from scipy.integrate import quad
 
 import harvestcell.harvest as harvest
 import harvestcell.mechanism as mechanism
-from harvestcell.errors import CalibrationFailed, ConfigError
+from harvestcell.errors import (CalibrationFailed, ConfigError,
+                                InfeasibleEndpoints, NoConvergence)
 from harvestcell.harvest import (STAGES, MonteCarloSummary, PickCycleConfig,
                                  TOTAL_CYCLE_SECONDS, calibrate_noise,
                                  default_stage_means, monte_carlo, plan_cycle,
                                  run_pick_cycle)
 from harvestcell.perception import TargetTomato, DetectionRecord, Keypoint
+from harvestcell.planner import plan_trajectory
 
 
 def _dummy_record():
@@ -226,6 +229,125 @@ def test_calibrate_noise_bracket_failure(run_config, harvest_target,
         calibrate_noise(harvest_target, run_config.arm, run_config.scene,
                         run_config.pso, run_config.pick_cycle, 0.0005,
                         trials_per_eval=5000)
+
+
+def test_monte_carlo_rejects_trials_past_bound(monkeypatch, run_config,
+                                               harvest_target):
+    # refused before planning, and before the (trials, 3) noise block
+    def refuse(*args):
+        raise AssertionError("trials past the bound reached planning")
+
+    monkeypatch.setattr(harvest, "plan_cycle", refuse)
+    for trials in (harvest._MAX_TRIALS + 1, 10**14):
+        with pytest.raises(ConfigError, match=f"trials must be <= "
+                                              f"{harvest._MAX_TRIALS}, got {trials}"):
+            monte_carlo(harvest_target, run_config.arm, run_config.scene,
+                        run_config.pso, run_config.pick_cycle, trials)
+
+
+def test_plan_cycle_bytes_pinned(harvest_plans):
+    # SHA-256 of the shipped target's cycle plans (IK answers, both plans'
+    # waypoints and fitness) at the shipped PSO seed, taken at commit
+    # a329a7d, before plan_cycle planned approach and depart in one swarm
+    # loop (numpy 2.x, x86-64)
+    digest = hashlib.sha256()
+    for array in (harvest_plans.q_pregrasp, harvest_plans.q_grasp,
+                  harvest_plans.q_punnet,
+                  harvest_plans.approach_trajectory.waypoints,
+                  harvest_plans.depart_trajectory.waypoints):
+        digest.update(np.asarray(array).tobytes())
+    for trajectory in (harvest_plans.approach_trajectory,
+                       harvest_plans.depart_trajectory):
+        digest.update(np.float64(trajectory.fitness).tobytes())
+    assert digest.hexdigest() == (
+        "4ec81531e6fe933085e4b9b277a660b7f7923a9b1c4e565c2381c8677d087fa8")
+
+
+def _failing_ik(monkeypatch, fails):
+    """Make solve_ik_point raise NoConvergence where fails(position)."""
+    real = harvest.solve_ik_point
+
+    def solve(chain, position, *args):
+        if fails(np.asarray(position)):
+            raise NoConvergence(None, 1.0, 1.0, ())
+        return real(chain, position, *args)
+
+    monkeypatch.setattr(harvest, "solve_ik_point", solve)
+
+
+def test_approach_plan_failure_precedes_grasp_ik_failure(
+        monkeypatch, run_config, harvest_target):
+    # grasp IK fails and the approach plan fails: the approach is reported
+    _failing_ik(monkeypatch,
+                lambda p: np.array_equal(p, harvest_target.center_3d))
+    batches = []
+
+    def blocked(chain, problems, config):
+        batches.append(len(problems))
+        return [InfeasibleEndpoints("blocked")] * len(problems)
+
+    monkeypatch.setattr(harvest, "plan_trajectories", blocked)
+    plans = plan_cycle(harvest_target, run_config.arm, run_config.scene,
+                       run_config.pso, run_config.pick_cycle)
+    assert (plans.failure_stage, plans.failure_outcome) == ("approach",
+                                                            "fail_no_plan")
+    assert plans.q_pregrasp is not None
+    assert plans.q_grasp is None and plans.approach_trajectory is None
+    assert batches == [1]  # no depart without a grasp
+
+
+@pytest.mark.parametrize("ik_fails, plan_fails, stage, outcome", [
+    ("grasp", (), "separate", "fail_unreachable"),
+    ("grasp", (1,), "separate", "fail_unreachable"),
+    ("punnet", (), "depart", "fail_unreachable"),
+    (None, (1,), "depart", "fail_no_plan"),
+    (None, (0, 1), "approach", "fail_no_plan"),
+    (None, (), None, None),
+])
+def test_plan_cycle_reports_first_failure_in_cycle_order(
+        monkeypatch, run_config, harvest_target, ik_fails, plan_fails, stage,
+        outcome):
+    cycle = run_config.pick_cycle
+    where = {"grasp": harvest_target.center_3d, "punnet": cycle.punnet_position}
+    _failing_ik(monkeypatch, lambda p: ik_fails is not None
+                and np.array_equal(p, where[ik_fails]))
+    plans_made = []
+
+    def planner(chain, problems, config):
+        plans_made.append(len(problems))
+        return [InfeasibleEndpoints("blocked") if k in plan_fails else object()
+                for k in range(len(problems))]
+
+    monkeypatch.setattr(harvest, "plan_trajectories", planner)
+    plans = plan_cycle(harvest_target, run_config.arm, run_config.scene,
+                       run_config.pso, cycle)
+    assert (plans.failure_stage, plans.failure_outcome) == (stage, outcome)
+    assert plans_made == [1 if ik_fails else 2]
+    assert (plans.approach_trajectory is None) == (0 in plan_fails)
+    assert (plans.depart_trajectory is None) == (stage is not None)
+    # the cut runs before depart, so a depart failure keeps its center
+    assert (plans.nominal_cut_center is None) == (stage in ("approach",
+                                                            "separate"))
+
+
+def test_punnet_ik_failure_keeps_lone_approach_plan(monkeypatch, run_config,
+                                                    harvest_target):
+    cycle = run_config.pick_cycle
+    pso = replace(run_config.pso, swarm_size=12, iterations=40)
+    _failing_ik(monkeypatch,
+                lambda p: np.array_equal(p, cycle.punnet_position))
+    plans = plan_cycle(harvest_target, run_config.arm, run_config.scene, pso,
+                       cycle)
+    assert (plans.failure_stage, plans.failure_outcome) == ("depart",
+                                                            "fail_unreachable")
+    assert plans.q_grasp is not None and plans.q_punnet is None
+    assert plans.depart_trajectory is None
+    assert plans.nominal_cut_center is not None
+    lone = plan_trajectory(run_config.arm, run_config.arm.home_q,
+                           plans.q_pregrasp, run_config.scene, pso)
+    assert np.array_equal(plans.approach_trajectory.waypoints, lone.waypoints)
+    assert plans.approach_trajectory.fitness == lone.fitness
+    assert plans.approach_trajectory.gbest_trace == lone.gbest_trace
 
 
 def test_unreachable_target_counts_as_unreachable(run_config):

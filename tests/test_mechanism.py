@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import harvestcell.mechanism as mechanism
 from harvestcell.errors import (ConfigError, DegenerateGeometry, NearSingular,
                                 NoAssembly)
 from harvestcell.mechanism import (BRANCHES, FingerSolution, MechanismParams,
@@ -357,6 +358,18 @@ def test_sweep_rejects_unbounded_grid(params, step):
 def test_force_torque_curve_rejects_bad_bound(params, p_min, p_max, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         force_torque_curve(params, 45.0, p_min, p_max, 5)
+
+
+def test_force_torque_curve_rejects_steps_past_bound(params, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("steps past the bound reached a torque solve")
+
+    monkeypatch.setattr(mechanism, "torque_single_finger", refuse)
+    for steps in (mechanism._MAX_FORCE_STEPS + 1, 10**14):
+        with pytest.raises(ValueError, match=f"^steps must be <= "
+                                             f"{mechanism._MAX_FORCE_STEPS}, "
+                                             f"got {steps}$"):
+            force_torque_curve(params, 45.0, 0.0, 20.0, steps)
 
 
 def test_sweep_ends_exactly_at_end(params):

@@ -12,8 +12,8 @@ from harvestcell.errors import (ConfigError, DimensionMismatch,
 from harvestcell.geometry import segment_point_distance, segment_segment_distance
 from harvestcell.planner import (Aabb, Capsule, PsoConfig, Scene, Sphere,
                                  _clearance, _scene_arrays, _score,
-                                 collision_check, fitness, plan_trajectory,
-                                 recheck_feasible)
+                                 collision_check, fitness, plan_trajectories,
+                                 plan_trajectory, recheck_feasible)
 
 BOUNDS = Aabb(np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
 EMPTY = Scene(workspace_bounds=BOUNDS)
@@ -26,6 +26,8 @@ FAST_PSO = PsoConfig(swarm_size=12, iterations=40, seed=1)
 PINNED_GOAL = np.array([float.fromhex(x) for x in (
     "0x0.0p+0", "0x1.d78e2a5d92c20p-1", "-0x1.ba55f3bd2e759p-2",
     "-0x1.07a8a6c0e3dc7p+1", "0x0.0p+0")])
+# the shipped target tomato, whose sphere leaves the scene once grasped
+TARGET_CENTER = np.array([0.45, 0.0, 0.40])
 
 
 @pytest.fixture
@@ -589,3 +591,133 @@ def test_recheck_at_higher_resolution(chain, run_config):
         passed += recheck_feasible(traj, chain, scene, pso)
     assert checked > 0
     assert passed == checked
+
+
+def _assert_same_plan(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        if not isinstance(want, NoFeasibleFound):
+            return
+        got, want = got.best_trajectory, want.best_trajectory
+    assert np.array_equal(got.waypoints, want.waypoints)
+    assert got.fitness == want.fitness
+    assert got.gbest_trace == want.gbest_trace
+    assert got.breakdown == want.breakdown
+    assert got.feasible == want.feasible
+
+
+def _lone(chain, start, goal, scene, config):
+    try:
+        return plan_trajectory(chain, start, goal, scene, config)
+    except (InfeasibleEndpoints, NoFeasibleFound) as exc:
+        return exc
+
+
+def _cycle_problems(chain, run_config):
+    # a cycle's approach in the full scene and depart in the scene without
+    # the grasped tomato, from the pinned pre-grasp to the punnet
+    q_punnet = solve_ik_point(chain, np.array([0.10, -0.30, 0.30]),
+                              np.array([0.0, 0.0, -1.0]), chain.home_q)
+    after = run_config.scene.without_sphere_containing(TARGET_CENTER)
+    assert len(after.spheres) == len(run_config.scene.spheres) - 1
+    return [(chain.home_q, PINNED_GOAL, run_config.scene),
+            (PINNED_GOAL, q_punnet, after)]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_lockstep_plans_equal_lone_plans(chain, run_config, seed):
+    config = replace(FAST_PSO, seed=seed)
+    problems = _cycle_problems(chain, run_config)
+    got = plan_trajectories(chain, problems, config)
+    assert len(got) == 2
+    for result, problem in zip(got, problems):
+        _assert_same_plan(result, _lone(chain, *problem, config))
+
+
+def test_depart_rows_ignore_the_hidden_target(chain, run_config):
+    # rows of the depart problem read what the scene without the target
+    # gives, rows of the approach problem what the full scene gives; near
+    # the target the two differ
+    scene = run_config.scene
+    after = scene.without_sphere_containing(TARGET_CENTER)
+    union = _scene_arrays(chain, scene, after)
+    assert union.visible.shape == (len(scene.spheres) + len(scene.capsules), 2)
+    assert union.visible.sum() == 2 * union.visible.shape[0] - 1
+    rng = np.random.default_rng(16)
+    qs = PINNED_GOAL + rng.normal(scale=0.15, size=(300, chain.n_joints))
+    for cutoff in (np.inf, FAST_PSO.clearance + FAST_PSO.penalty_margin):
+        full = _clearance(chain, qs, _scene_arrays(chain, scene), cutoff)
+        alone = _clearance(chain, qs, _scene_arrays(chain, after), cutoff)
+        for problem, want in ((0, full), (1, alone)):
+            got = _clearance(chain, qs, union, cutoff,
+                             np.full(len(qs), problem))
+            assert np.array_equal(got >= cutoff, want >= cutoff)
+            below = want < cutoff
+            assert np.array_equal(got[below], want[below])
+        assert np.any(alone[full < cutoff] > full[full < cutoff])
+    # mixed rows in one call, exact everywhere
+    problem = rng.integers(2, size=len(qs))
+    mixed = _clearance(chain, qs, union, np.inf, problem)
+    full, alone = (_clearance(chain, qs, _scene_arrays(chain, s), np.inf)
+                   for s in (scene, after))
+    assert np.array_equal(mixed, np.where(problem == 1, alone, full))
+
+
+def test_problem_without_obstacles_reads_no_clearance(chain):
+    # a sphere on the static base link: the problem that sees it reads its
+    # clearance, including the static link's, the one that sees nothing
+    # NO_OBSTACLE_CLEARANCE
+    assert chain.compiled.first_moving == 1
+    base_mid = chain.compiled.static_points.mean(axis=0)
+    scene = Scene(spheres=(Sphere(center=base_mid + [0.04, 0.0, 0.0],
+                                  radius=0.03),), workspace_bounds=BOUNDS)
+    union = _scene_arrays(chain, scene, EMPTY)
+    qs = np.vstack([chain.home_q, PINNED_GOAL])
+    got = _clearance(chain, np.vstack([qs, qs]), union, np.inf,
+                     np.array([0, 0, 1, 1]))
+    want = [collision_check(chain, q, scene).min_clearance for q in qs]
+    assert got[:2].tolist() == want
+    assert np.isclose(want[0], 0.01)
+    assert np.all(got[2:] == planner.NO_OBSTACLE_CLEARANCE)
+
+
+@pytest.mark.parametrize("bad", ["outside-limits", "colliding"])
+def test_bad_endpoint_leaves_other_plan_alone(chain, run_config, bad):
+    approach = (chain.home_q, PINNED_GOAL, run_config.scene)
+    if bad == "outside-limits":
+        goal = np.array([0.0, 0.0, 0.0, 3.0, 0.0])
+        scene = EMPTY
+    else:
+        goal = chain.home_q + 0.3
+        tool = link_points(chain, goal)[-1]
+        scene = Scene(spheres=(Sphere(center=tool, radius=0.05),),
+                      workspace_bounds=BOUNDS)
+    got = plan_trajectories(chain, [(chain.home_q, goal, scene), approach],
+                            FAST_PSO)
+    assert isinstance(got[0], InfeasibleEndpoints)
+    _assert_same_plan(got[0], _lone(chain, chain.home_q, goal, scene, FAST_PSO))
+    _assert_same_plan(got[1], _lone(chain, *approach, FAST_PSO))
+
+
+def test_no_feasible_found_leaves_other_plan_alone(chain):
+    # the blocked problem of test_no_feasible_found_carries_best, batched
+    # with an empty-scene problem that sees no obstacle of the union
+    goal = chain.home_q + np.array([0.0, 0.9, -0.9, 0.2, 0.0])
+    mid_tool = link_points(chain, (chain.home_q + goal) / 2.0)[-1]
+    margin = min(
+        segment_point_distance(a, b, mid_tool)
+        for pts in (link_points(chain, chain.home_q), link_points(chain, goal))
+        for a, b in zip(pts[:-1], pts[1:])
+    )
+    blocked = Scene(spheres=(Sphere(center=mid_tool, radius=float(margin) - 0.03),),
+                    workspace_bounds=BOUNDS)
+    config = replace(FAST_PSO, iterations=3, swarm_size=4, seed=0)
+    problems = [(chain.home_q, chain.home_q + np.array([0.4, 0.2, -0.3, 0.2, 0.5]),
+                 EMPTY),
+                (chain.home_q, goal, blocked)]
+    got = plan_trajectories(chain, problems, config)
+    assert got[0].feasible
+    assert isinstance(got[1], NoFeasibleFound)
+    for result, problem in zip(got, problems):
+        _assert_same_plan(result, _lone(chain, *problem, config))
