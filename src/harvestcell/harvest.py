@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,10 +33,16 @@ from .planner import (PsoConfig, Scene, Trajectory,  # noqa: F401
                       plan_trajectories, plan_trajectory)
 
 STAGES = ("approach", "separate", "cut", "grasp", "depart", "release")
+# the stages a trial executes, by their number: always a prefix of STAGES
+_STAGE_PREFIXES = tuple(STAGES[:n] for n in range(len(STAGES) + 1))
 OUTCOMES = ("success", "fail_cut_missed", "fail_no_plan", "fail_unreachable")
 # Most trials one batch may ask for: its per-trial arrays take about 0.25 KB
 # a trial, and a report list several times that.
 _MAX_TRIALS = 1_000_000
+# Largest stage mean (s), length or pose-noise sigma (m) and grasp force (N)
+# a cycle accepts: sums of squared deviations of its draws over a whole
+# batch then stay far inside the float range.
+_MAX_MAGNITUDE = 1e100
 
 
 def default_stage_means() -> dict[str, float]:
@@ -61,6 +68,11 @@ class PickCycleConfig:
     fire time the cutter keypoint sits that far from the tomato center
     along the center-to-pedicel direction. Matching it to the actual
     pedicel offset gives zero systematic cut error.
+
+    Stage means, lengths, pose_noise_sigma and grasp_force lie in
+    [0, _MAX_MAGNITUDE] (means and lengths > 0), grasp_theta_deg and
+    punnet_position are finite and seed is a non-negative integer;
+    anything else is a ConfigError naming the field.
     """
 
     stage_time_means: dict[str, float] = field(default_factory=default_stage_means)
@@ -80,25 +92,48 @@ class PickCycleConfig:
             raise ConfigError(
                 f"stage_time_means must have exactly the stages {STAGES}")
         for stage, mean in self.stage_time_means.items():
-            if not mean > 0.0:
-                raise ConfigError(f"stage mean for '{stage}' must be > 0")
+            if not 0.0 < mean <= _MAX_MAGNITUDE:  # also NaN
+                raise ConfigError(f"stage mean for '{stage}' must lie in "
+                                  f"(0, {_MAX_MAGNITUDE:g}], got {mean!r}")
         if not 0.0 <= self.stage_time_stddev_frac < 1.0:
             raise ConfigError("stage_time_stddev_frac must lie in [0, 1)")
-        if not 0.0 <= self.pose_noise_sigma < math.inf:
-            raise ConfigError("pose_noise_sigma must be finite and >= 0")
-        if not self.cut_zone_radius > 0.0:
-            raise ConfigError("cut_zone_radius must be > 0")
-        if not self.cut_trigger_distance > 0.0:
-            raise ConfigError("cut_trigger_distance must be > 0")
-        if not self.insertion_depth > 0.0:
-            raise ConfigError("insertion_depth must be > 0")
-        if not 0.0 <= self.grasp_force < math.inf:
-            raise ConfigError("grasp_force must be finite and >= 0")
+        _check_magnitude("pose_noise_sigma", self.pose_noise_sigma,
+                         positive=False)
+        _check_magnitude("cut_zone_radius", self.cut_zone_radius, positive=True)
+        _check_magnitude("cut_trigger_distance", self.cut_trigger_distance,
+                         positive=True)
+        _check_magnitude("insertion_depth", self.insertion_depth, positive=True)
+        _check_magnitude("grasp_force", self.grasp_force, positive=False)
+        if not math.isfinite(self.grasp_theta_deg):
+            raise ConfigError(
+                f"grasp_theta_deg must be finite, got {self.grasp_theta_deg!r}")
+        punnet = np.asarray(self.punnet_position, dtype=float)
+        # math.isfinite per element costs a quarter of np.isfinite(...).all()
+        if punnet.shape != (3,) or not all(map(math.isfinite, punnet.tolist())):
+            raise ConfigError("punnet_position must be a finite 3-vector")
+        if (not isinstance(self.seed, (int, np.integer))
+                or isinstance(self.seed, bool) or self.seed < 0):
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class PickCycleReport:
-    """Outcome of one simulated cycle; timings cover executed stages only."""
+def _check_magnitude(name: str, value: float, positive: bool) -> None:
+    """ConfigError unless value lies in [0, _MAX_MAGNITUDE], or in
+    (0, _MAX_MAGNITUDE] when positive; NaN lies in neither."""
+    if not ((0.0 < value if positive else 0.0 <= value)
+            and value <= _MAX_MAGNITUDE):
+        low = "(0" if positive else "[0"
+        raise ConfigError(
+            f"{name} must lie in {low}, {_MAX_MAGNITUDE:g}], got {value!r}")
+
+
+class PickCycleReport(NamedTuple):
+    """Outcome of one simulated cycle; timings cover executed stages only.
+
+    A NamedTuple: immutable, it compares like the tuple of its five fields
+    (and equals that plain tuple), and `report._replace(...)` stands in for
+    `dataclasses.replace`.
+    """
 
     stage_timings: dict[str, float]
     total_time: float
@@ -248,14 +283,6 @@ def run_pick_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
     return reports[0]
 
 
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    if not values.size:
-        return 0.0, 0.0
-    mean = float(values.mean())
-    std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    return mean, std
-
-
 def monte_carlo(target: TargetTomato, chain: KinematicChain, scene: Scene,
                 planner_config: PsoConfig, cycle_config: PickCycleConfig,
                 trials: int,
@@ -277,13 +304,24 @@ def monte_carlo(target: TargetTomato, chain: KinematicChain, scene: Scene,
     fail_cut_missed; otherwise it grasps, records the holding torque and
     then fails at depart or succeeds. Timings and total_time cover executed
     stages only. Returns a MonteCarloSummary, or (summary, reports) when
-    collect_reports is set. Time statistics cover successful trials only.
-    `trials` lies in [1, _MAX_TRIALS]; it is checked before any planning.
+    collect_reports is set; the report list is built column-wise, one list
+    per field zipped into `PickCycleReport` tuples. Time statistics cover
+    successful trials only: a mean and a sample std over them, both 0.0
+    without a success and the std 0.0 with one.
+    `trials` lies in [1, _MAX_TRIALS] and grasp_theta_deg in the
+    mechanism's theta_range; both are checked before any planning.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if trials > _MAX_TRIALS:
         raise ConfigError(f"trials must be <= {_MAX_TRIALS}, got {trials}")
+    if mechanism_params is None:
+        mechanism_params = MechanismParams()
+    lo, hi = mechanism_params.theta_range
+    if not lo <= cycle_config.grasp_theta_deg <= hi:
+        raise ConfigError(
+            f"grasp_theta_deg {cycle_config.grasp_theta_deg!r} lies outside the "
+            f"mechanism's theta_range [{lo:g}, {hi:g}] deg")
     if plans is None:
         plans = plan_cycle(target, chain, scene, planner_config, cycle_config)
     time_rng, noise_rng = _streams(cycle_config.seed)
@@ -311,38 +349,42 @@ def monte_carlo(target: TargetTomato, chain: KinematicChain, scene: Scene,
     torque = None
     if hit.any():
         torque = mechanism.torque_single_finger(
-            mechanism_params if mechanism_params is not None else MechanismParams(),
-            cycle_config.grasp_theta_deg, cycle_config.grasp_force).torque_total
+            mechanism_params, cycle_config.grasp_theta_deg,
+            cycle_config.grasp_force).torque_total
 
     hits = int(hit.sum())
     counts = {outcome: 0 for outcome in OUTCOMES}
     counts[hit_outcome] += hits
     counts[miss_outcome] += trials - hits
-    success = hit & (hit_outcome == "success")
-    total_mean, total_std = _mean_std(total[success])
-    stage_stats = {s: _mean_std(durations[success, k]) for k, s in enumerate(STAGES)}
+    # total time and the six stage durations of the successful trials, one
+    # C-contiguous row each: a row reduces like the 1-D array it copies
+    n_success = counts["success"]
+    block = np.empty((1 + len(STAGES), n_success))
+    if n_success:  # then every hit succeeds
+        block[0] = total[hit]
+        block[1:] = durations[hit].T
+    means = block.mean(axis=1).tolist() if n_success else [0.0] * len(block)
+    stds = (block.std(axis=1, ddof=1).tolist() if n_success > 1
+            else [0.0] * len(block))
     summary = MonteCarloSummary(
         trials=trials,
-        success_rate=counts["success"] / trials,
+        success_rate=n_success / trials,
         outcome_counts=counts,
-        total_time_mean=total_mean,
-        total_time_std=total_std,
-        stage_time_mean={s: mean for s, (mean, _) in stage_stats.items()},
-        stage_time_std={s: std for s, (_, std) in stage_stats.items()},
+        total_time_mean=means[0],
+        total_time_std=stds[0],
+        stage_time_mean=dict(zip(STAGES, means[1:])),
+        stage_time_std=dict(zip(STAGES, stds[1:])),
     )
     if not collect_reports:
         return summary
+    hit_list = hit.tolist()
+    stage_timings = [dict(zip(_STAGE_PREFIXES[n], row))
+                     for n, row in zip(executed.tolist(), durations.tolist())]
+    outcomes = [hit_outcome if h else miss_outcome for h in hit_list]
+    torques = [torque if h else None for h in hit_list]
     misses = miss.tolist() if miss is not None else [None] * trials
-    reports = [
-        PickCycleReport(
-            stage_timings=dict(zip(STAGES[:n], row)),
-            total_time=t,
-            outcome=hit_outcome if h else miss_outcome,
-            pedicel_miss_distance=m,
-            holding_torque_total=torque if h else None,
-        )
-        for n, row, t, m, h in zip(executed.tolist(), durations.tolist(),
-                                   total.tolist(), misses, hit.tolist())]
+    reports = list(map(PickCycleReport._make, zip(
+        stage_timings, total.tolist(), outcomes, misses, torques)))
     return summary, reports
 
 
@@ -364,12 +406,16 @@ def calibrate_noise(target: TargetTomato, chain: KinematicChain, scene: Scene,
     |d| > R (success is then not monotone in sigma), when no count out of
     trials_per_eval lies within tolerance of target_rate, or when the sigma
     needed exceeds 5 * R. Like `monte_carlo`, it plans the cycle only when
-    the caller passes no `plans`.
+    the caller passes no `plans`, after checking target_rate, tolerance
+    (finite, >= 0) and trials_per_eval (in [1, _MAX_TRIALS]).
     """
     if not 0.0 < target_rate < 1.0:
         raise ConfigError("target_rate must lie strictly between 0 and 1")
-    if trials_per_eval < 1:
-        raise ConfigError("trials_per_eval must be >= 1")
+    if not 1 <= trials_per_eval <= _MAX_TRIALS:
+        raise ConfigError(f"trials_per_eval must lie in [1, {_MAX_TRIALS}], "
+                          f"got {trials_per_eval}")
+    if not 0.0 <= tolerance < math.inf:
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if plans is None:
         plans = plan_cycle(target, chain, scene, planner_config, cycle_config)
     if plans.failure_stage is not None:

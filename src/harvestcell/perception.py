@@ -90,13 +90,18 @@ class TargetTomato:
     source: DetectionRecord
 
     def __post_init__(self):
+        points = []
         for name in ("center_3d", "pedicel_3d"):
             point = np.asarray(getattr(self, name), dtype=float)
             if point.shape != (3,) or not np.isfinite(point).all():
                 raise ValidationError(name, None, "must be a finite 3-vector")
+            points.append(point)
         if not self.estimated_radius > 0.0:
             raise ValidationError("estimated_radius", None, "must be > 0")
-        if np.allclose(self.center_3d, self.pedicel_3d):
+        center, pedicel = points
+        # np.allclose(center, pedicel) for finite points, without its
+        # special cases for inf and NaN
+        if np.all(abs(center - pedicel) <= 1e-8 + 1e-5 * abs(pedicel)):
             raise ValidationError("pedicel_3d", None,
                                   "pedicel coincides with the tomato center")
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -113,6 +114,21 @@ def test_pick_stats_trials_past_bound(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "stats.trials.csv").exists()
     assert "trials must be <=" in _assert_one_line_error(capsys)
     assert peak < 16 << 20
+
+
+def test_pick_stats_negative_seed_fails_before_planning(tmp_path, capsys,
+                                                       monkeypatch,
+                                                       detection_fixture):
+    monkeypatch.setattr(harvest, "plan_cycle", _refuse)
+    det, depth = detection_fixture
+    out = tmp_path / "stats.json"
+    code = cli.main(["--quiet", "--seed", "-1", "--out", str(out),
+                     "pick-stats", "--detections", str(det),
+                     "--depth", str(depth)])
+    assert code == 1
+    assert not out.exists()
+    assert "seed must be a non-negative integer" in _assert_one_line_error(
+        capsys)
 
 
 def test_solve_mechanism_sweep_residuals(tmp_path):
@@ -268,6 +284,23 @@ def test_pick_stats_success(tmp_path, detection_fixture):
     header, rows = _read_csv(trials_csv)
     assert len(rows) == 50
     assert header[0] == "trial" and header[1] == "outcome"
+
+
+def test_pick_stats_bytes_pinned(tmp_path, detection_fixture):
+    # SHA-256 of `pick-stats --seed 11 --trials 1000` on the fixture with
+    # the shipped config, JSON and trials CSV, taken at commit 71b8fdd,
+    # before monte_carlo built its reports column-wise (numpy 2.x, x86-64)
+    det, depth = detection_fixture
+    out = tmp_path / "stats.json"
+    code = cli.main(["--quiet", "--seed", "11", "--out", str(out),
+                     "pick-stats", "--detections", str(det),
+                     "--depth", str(depth), "--trials", "1000"])
+    assert code == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (out, tmp_path / "stats.trials.csv")]
+    assert digests == [
+        "33596e5c367c178992aaeb233fb38ddfd393452969c6efff4ab12cd284835a4c",
+        "c8980ba1272fae90dcba78291c912dd82b5137b65b8ff36945eba71e1326963e"]
 
 
 def test_pick_stats_zero_noise_full_success(tmp_path, detection_fixture):

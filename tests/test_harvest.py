@@ -1,9 +1,13 @@
 import hashlib
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import harvestcell.harvest as harvest
@@ -70,6 +74,86 @@ def test_pick_cycle_config_validation():
         PickCycleConfig(cut_zone_radius=0.0)
     with pytest.raises(ConfigError):
         PickCycleConfig(stage_time_means={"approach": 1.0})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("stage_time_means", {**default_stage_means(), "cut": math.inf}),
+    ("stage_time_stddev_frac", math.nan),
+    ("pose_noise_sigma", 1e300),
+    ("cut_zone_radius", math.inf),
+    ("cut_trigger_distance", math.inf),
+    ("insertion_depth", math.inf),
+    ("grasp_force", 1e300),
+    ("grasp_theta_deg", math.nan),
+    ("punnet_position", np.array([math.nan, -0.30, 0.30])),
+    ("punnet_position", np.array([0.10, -0.30])),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("seed", True),
+])
+def test_pick_cycle_config_rejects_what_breaks_a_cycle(field, value):
+    name = "stage mean for 'cut'" if field == "stage_time_means" else field
+    with pytest.raises(ConfigError, match=name):
+        PickCycleConfig(**{field: value})
+
+
+_CYCLE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e300, math.nan, 1e100, math.inf, sys.float_info.max,
+                     -1.0, 1e101, -math.inf, 5e-324, -0.0]))
+_CYCLE_FIELDS = ("stage_time_means", "stage_time_stddev_frac",
+                 "pose_noise_sigma", "cut_zone_radius", "cut_trigger_distance",
+                 "insertion_depth", "grasp_force", "grasp_theta_deg",
+                 "punnet_position", "seed")
+
+
+@st.composite
+def _cycle_override(draw):
+    """(field, value) with the value drawn for that field's type."""
+    field = draw(st.sampled_from(_CYCLE_FIELDS))
+    if field == "seed":
+        return field, draw(st.integers())
+    value = draw(_CYCLE_FLOATS)
+    if field == "stage_time_means":
+        return field, {**default_stage_means(),
+                       draw(st.sampled_from(STAGES)): value}
+    if field == "punnet_position":
+        punnet = np.array([0.10, -0.30, 0.30])
+        punnet[draw(st.integers(0, 2))] = value
+        return field, punnet
+    return field, value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(overrides=st.lists(_cycle_override(), min_size=1, max_size=2))
+@example(overrides=[("stage_time_means",
+                     {**default_stage_means(), "cut": 1e300})])
+@example(overrides=[("stage_time_means",
+                     {**default_stage_means(), "cut": 1e100}),
+                    ("grasp_force", 1e100)])
+def test_fuzzed_cycle_settings_rejected_or_finite(run_config, harvest_target,
+                                                  harvest_plans, overrides):
+    # a RuntimeWarning fails the test (pytest filterwarnings)
+    try:
+        cfg = replace(run_config.pick_cycle, **dict(overrides))
+    except ConfigError as exc:
+        assert "\n" not in str(exc)
+        return
+    args = (harvest_target, run_config.arm, run_config.scene, run_config.pso,
+            cfg, 100, run_config.mechanism, harvest_plans)
+    lo, hi = run_config.mechanism.theta_range
+    if not lo <= cfg.grasp_theta_deg <= hi:
+        with pytest.raises(ConfigError, match="grasp_theta_deg"):
+            monte_carlo(*args)
+        return
+    summary, reports = monte_carlo(*args, collect_reports=True)
+    stats = [summary.success_rate, summary.total_time_mean,
+             summary.total_time_std, *summary.stage_time_mean.values(),
+             *summary.stage_time_std.values()]
+    stats += [r.total_time for r in reports]
+    stats += [r.holding_torque_total for r in reports
+              if r.holding_torque_total is not None]
+    assert all(map(math.isfinite, stats))
 
 
 def test_zero_noise_pedicel_at_cut_center(run_config, harvest_target,
@@ -231,18 +315,53 @@ def test_calibrate_noise_bracket_failure(run_config, harvest_target,
                         trials_per_eval=5000)
 
 
+def _refuse(*args):
+    raise AssertionError("a checked argument reached planning")
+
+
 def test_monte_carlo_rejects_trials_past_bound(monkeypatch, run_config,
                                                harvest_target):
     # refused before planning, and before the (trials, 3) noise block
-    def refuse(*args):
-        raise AssertionError("trials past the bound reached planning")
-
-    monkeypatch.setattr(harvest, "plan_cycle", refuse)
+    monkeypatch.setattr(harvest, "plan_cycle", _refuse)
     for trials in (harvest._MAX_TRIALS + 1, 10**14):
         with pytest.raises(ConfigError, match=f"trials must be <= "
                                               f"{harvest._MAX_TRIALS}, got {trials}"):
             monte_carlo(harvest_target, run_config.arm, run_config.scene,
                         run_config.pso, run_config.pick_cycle, trials)
+
+
+@pytest.mark.parametrize("theta, sigma", [(120.5, 0.0046), (-1.0, 0.5)])
+def test_monte_carlo_rejects_grasp_angle_outside_mechanism(
+        monkeypatch, run_config, harvest_target, theta, sigma):
+    # refused before planning, also when no trial would reach the grasp
+    monkeypatch.setattr(harvest, "plan_cycle", _refuse)
+    cfg = replace(run_config.pick_cycle, grasp_theta_deg=theta,
+                  pose_noise_sigma=sigma)
+    with pytest.raises(ConfigError, match="grasp_theta_deg"):
+        monte_carlo(harvest_target, run_config.arm, run_config.scene,
+                    run_config.pso, cfg, 10, run_config.mechanism)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tolerance", math.nan),
+    ("tolerance", -1.0),
+    ("tolerance", math.inf),
+    ("trials_per_eval", harvest._MAX_TRIALS + 1),
+    ("trials_per_eval", 10**13),
+])
+def test_calibrate_noise_checks_arguments_before_planning(
+        monkeypatch, run_config, harvest_target, field, value):
+    monkeypatch.setattr(harvest, "plan_cycle", _refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=field):
+            calibrate_noise(harvest_target, run_config.arm, run_config.scene,
+                            run_config.pso, run_config.pick_cycle, 0.80,
+                            **{field: value})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # no trial-sized block
 
 
 def test_plan_cycle_bytes_pinned(harvest_plans):
@@ -544,3 +663,42 @@ def test_calibrate_noise_rejects_offset_outside_cut_zone(monkeypatch,
     with pytest.raises(CalibrationFailed, match="offset"):
         calibrate_noise(target, run_config.arm, run_config.scene,
                         run_config.pso, run_config.pick_cycle, 0.05)
+
+
+def test_monte_carlo_bytes_pinned(run_config, harvest_target, harvest_plans):
+    # SHA-256 over repr of every summary field and every report field for
+    # a grid of sigma x trials x systematic cut offset x plans, taken at
+    # commit 71b8fdd, before reports were built column-wise and the stage
+    # statistics were taken in one pass (numpy 2.x, x86-64)
+    axis = harvest_target.pedicel_3d - harvest_target.center_3d
+    axis = axis / np.linalg.norm(axis)
+    plan_variants = (harvest_plans,
+                     replace(harvest_plans, failure_stage="depart",
+                             failure_outcome="fail_no_plan"),
+                     replace(harvest_plans, failure_stage="approach",
+                             failure_outcome="fail_unreachable"))
+    digest = hashlib.sha256()
+    successes = set()
+    seed = 11
+    for offset in (0.0, 0.005):  # 0.005: criterion 08's offset
+        target = replace(harvest_target,
+                         pedicel_3d=harvest_target.pedicel_3d + offset * axis)
+        for plans in plan_variants:
+            for sigma in (0.0, 0.0046, 0.05):
+                for trials in (1, 2, 1000):
+                    seed += 1
+                    cfg = replace(run_config.pick_cycle,
+                                  pose_noise_sigma=sigma, seed=seed)
+                    summary, reports = monte_carlo(
+                        target, run_config.arm, run_config.scene,
+                        run_config.pso, cfg, trials, run_config.mechanism,
+                        plans, collect_reports=True)
+                    successes.add(min(summary.outcome_counts["success"], 2))
+                    for name in MonteCarloSummary.__dataclass_fields__:
+                        digest.update(repr(getattr(summary, name)).encode())
+                    for report in reports:
+                        for value in _report_fields(report):
+                            digest.update(repr(value).encode())
+    assert successes == {0, 1, 2}  # no, one and many successful trials
+    assert digest.hexdigest() == (
+        "c4a5202100783e824ab4c4b717acb9816b3db3989bced040d4defd0f30695790")

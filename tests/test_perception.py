@@ -328,3 +328,26 @@ def test_target_rejects_non_finite_points(field):
     with pytest.raises(ValidationError, match=field):
         TargetTomato(**points, ripeness="ripe", estimated_radius=0.035,
                      source=None)
+
+
+def test_target_duplicate_point_test_is_allclose():
+    # gaps around np.allclose's threshold 1e-8 + 1e-5 |pedicel| per axis, at
+    # several scales and signs: construction fails exactly where allclose holds
+    rng = np.random.default_rng(5)
+    rejected = 0
+    for scale in (0.0, 1e-9, 1e-3, 0.4, 1.0, 1e3):
+        pedicel = scale * rng.uniform(-1.0, 1.0, (200, 3))
+        limit = 1e-8 + 1e-5 * np.abs(pedicel)
+        gaps = limit * rng.choice([0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0], (200, 3))
+        centers = pedicel + gaps * rng.choice([-1.0, 1.0], (200, 3))
+        for center, ped in zip(centers, pedicel):
+            duplicate = np.allclose(center, ped)
+            try:
+                TargetTomato(center_3d=center, pedicel_3d=ped, ripeness="ripe",
+                             estimated_radius=0.035, source=None)
+            except ValidationError as exc:
+                assert duplicate and "pedicel_3d" in str(exc)
+                rejected += 1
+            else:
+                assert not duplicate
+    assert 0 < rejected < 1200
