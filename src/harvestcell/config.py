@@ -13,12 +13,22 @@ YAML keys that differ from the field names:
     scene.workspace_bounds.min, .max   Aabb.min_corner, .max_corner
     camera.extrinsics.translation      CameraModel.extrinsic_translation
     camera.extrinsics.quaternion_xyzw  CameraModel.extrinsic_quaternion
+
+`load_config` reads the file as UTF-8 text and parses it with libyaml's C
+parser (`yaml.CSafeLoader`), under the same constructor and resolver as
+`yaml.safe_load`; a PyYAML built without libyaml falls back to its
+pure-Python `yaml.SafeLoader`. Every failure is a one-line ConfigError
+naming the file: an unreadable or non-UTF-8 file, a YAML error (with the
+pure parser's line number where the parser reports one), a document nested
+more than 1,000 levels deep or deeper than the interpreter's recursion
+limit allows, and every schema error above.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import re
 import typing
 from importlib import resources
 
@@ -42,6 +52,14 @@ _YAML_KEYS = {
     "extrinsic_quaternion": "extrinsics.quaternion_xyzw",
 }
 _UNIT_FIELDS = {"axis", "approach_axis"}
+# libyaml's scanner and parser when PyYAML was built with it, under the same
+# SafeConstructor and resolver as yaml.safe_load
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml composes a document by recursing in C, past Python's recursion
+# check: an 8 MB stack overflows between 20,000 and 30,000 levels of nesting
+_MAX_DEPTH = 1000
+# the line breaks both parsers count (YAML 1.1)
+_LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,19 +181,46 @@ def parse_config(raw: dict) -> RunConfig:
     return _load(RunConfig, raw, "")
 
 
+def _too_deep(text: str) -> bool:
+    """Whether a YAML text nests more than _MAX_DEPTH levels, from its parse
+    events up to that depth. Neither parser recurses to make events, but
+    libyaml's time grows with the square of the depth: 15 s to read 50,000
+    levels to the end."""
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                return True
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return False
+
+
 def load_config(path) -> RunConfig:
     """Load and validate a YAML config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        # a level of nesting takes one of these indicators, so only a text
+        # holding many of them can nest too deeply for libyaml's composer
+        if sum(map(text.count, "-[{?:")) > _MAX_DEPTH and _too_deep(text):
+            raise ConfigError(f"config {path} nests too deeply")
+        raw = yaml.load(text, Loader=_LOADER)
+        return parse_config(raw if raw is not None else {})
     except yaml.YAMLError as exc:  # the parser's own text spans several lines
-        mark = getattr(exc, "problem_mark", None)
-        where = f", line {mark.line + 1}" if mark is not None else ""
+        mark, where = getattr(exc, "problem_mark", None), ""
+        if mark is not None:
+            # libyaml ends an unterminated last line with an implicit break,
+            # one line past the pure parser's mark
+            where = f", line {min(mark.line, len(_LINE_BREAK.findall(text))) + 1}"
         detail = getattr(exc, "problem", None) or " ".join(str(exc).split())
         raise ConfigError(f"invalid YAML in {path}{where}: {detail}") from exc
-    return parse_config(raw if raw is not None else {})
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply") from None
 
 
 def default_config_path():

@@ -30,7 +30,7 @@ from .perception import TargetTomato
 # plan_trajectory is not called here; harvestbench's traced run wraps
 # `harvest.plan_trajectory` by name, so the name stays importable
 from .planner import (PsoConfig, Scene, Trajectory,  # noqa: F401
-                      plan_trajectories, plan_trajectory)
+                      check_seed, plan_trajectories, plan_trajectory)
 
 STAGES = ("approach", "separate", "cut", "grasp", "depart", "release")
 # the stages a trial executes, by their number: always a prefix of STAGES
@@ -111,10 +111,7 @@ class PickCycleConfig:
         # math.isfinite per element costs a quarter of np.isfinite(...).all()
         if punnet.shape != (3,) or not all(map(math.isfinite, punnet.tolist())):
             raise ConfigError("punnet_position must be a finite 3-vector")
-        if (not isinstance(self.seed, (int, np.integer))
-                or isinstance(self.seed, bool) or self.seed < 0):
-            raise ConfigError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 def _check_magnitude(name: str, value: float, positive: bool) -> None:

@@ -131,9 +131,18 @@ class Scene:
                      workspace_bounds=self.workspace_bounds)
 
 
+def check_seed(seed) -> None:
+    """ConfigError naming `seed` unless it is a non-negative integer (not a
+    bool), the seeds numpy's default_rng takes."""
+    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+            or seed < 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm hyperparameters; all runs are deterministic given `seed`.
+    """Swarm hyperparameters; all runs are deterministic given `seed`, a
+    non-negative integer.
 
     `penalty_margin` tightens the clearance used inside the optimization
     only, so solutions stand off obstacles instead of grazing them between
@@ -172,6 +181,7 @@ class PsoConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
         if not np.isfinite(self.clearance):
             raise ConfigError(f"clearance must be finite, got {self.clearance!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

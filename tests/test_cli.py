@@ -14,7 +14,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harvestcell import cli, harvest, mechanism
+from harvestcell import cli, config, harvest, mechanism
 from harvestcell.config import default_config_path
 from harvestcell.errors import ParseError, ValidationError
 from harvestcell.perception import (DEPTH_MAGIC, load_depth_frame,
@@ -131,6 +131,18 @@ def test_pick_stats_negative_seed_fails_before_planning(tmp_path, capsys,
         capsys)
 
 
+def test_plan_negative_seed_fails_before_planning(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setattr(cli, "plan_trajectory", _refuse)
+    out = tmp_path / "traj.json"
+    code = cli.main(["--quiet", "--seed", "-1", "--out", str(out),
+                     "plan", "--goal", "0.3,0.1,0.2,0.5,0.1"])
+    assert code == 1
+    assert not out.exists()
+    assert "seed must be a non-negative integer" in _assert_one_line_error(
+        capsys)
+
+
 def test_solve_mechanism_sweep_residuals(tmp_path):
     out = tmp_path / "sweep.csv"
     code = cli.main(["--quiet", "--out", str(out), "solve-mechanism",
@@ -218,6 +230,48 @@ def test_invalid_yaml_fails_with_one_line(tmp_path, capsys):
     assert not out.exists()
     err = _assert_one_line_error(capsys)
     assert str(cfg) in err and "line 1" in err
+
+
+@pytest.mark.parametrize("depth", [500, 5000, 50000])
+def test_deeply_nested_config_fails_with_one_line(tmp_path, capsys, depth):
+    # libyaml composes by recursing in C: 50,000 levels would overflow the
+    # C stack if they reached it
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text("a: " + "[" * depth + "]" * depth + "\n")
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["--quiet", "--config", str(cfg), "--out", str(out),
+                     "solve-mechanism"])
+    assert code == 1
+    assert not out.exists()
+    err = _assert_one_line_error(capsys)
+    assert (f"config {cfg} nests too deeply" in err if depth > 1000
+            else "unknown key 'a'" in err)
+
+
+def test_recursion_error_becomes_one_line(tmp_path, capsys, monkeypatch):
+    # the pure parser composes recursively in Python and runs out of
+    # recursion long before 500 levels
+    monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text("a: " + "[" * 500 + "]" * 500 + "\n")
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["--quiet", "--config", str(cfg), "--out", str(out),
+                     "solve-mechanism"])
+    assert code == 1
+    assert not out.exists()
+    assert f"config {cfg} nests too deeply" in _assert_one_line_error(capsys)
+
+
+def test_non_utf8_config_fails_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "latin.yaml"
+    cfg.write_bytes(b"pso: {seed: \xff}\n")
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["--quiet", "--config", str(cfg), "--out", str(out),
+                     "solve-mechanism"])
+    assert code == 1
+    assert not out.exists()
+    assert f"cannot read config {cfg}: 'utf-8' codec" in _assert_one_line_error(
+        capsys)
 
 
 def test_plan_roundtrip_and_determinism(tmp_path, fast_config_path):

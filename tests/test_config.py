@@ -1,11 +1,14 @@
 import copy
+import re
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harvestcell.config import RunConfig, default_config_path, parse_config
+from harvestcell import config
+from harvestcell.config import (RunConfig, default_config_path, load_config,
+                                parse_config)
 from harvestcell.errors import ConfigError
 
 
@@ -193,3 +196,78 @@ def test_shipped_yaml_restates_no_default(shipped_raw):
         except ConfigError:
             continue  # a required key
         assert parsed != shipped, f"{'.'.join(map(str, path))} restates a default"
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+def test_loader_is_libyaml_when_pyyaml_has_it():
+    # a silent fallback to the pure parser costs about 8 ms per load
+    assert config._LOADER is yaml.CSafeLoader
+
+
+def test_shipped_yaml_loads_equal_under_both_loaders():
+    text = default_config_path().read_text(encoding="utf-8")
+    assert (repr(yaml.load(text, Loader=config._LOADER))
+            == repr(yaml.load(text, Loader=yaml.SafeLoader)))
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=12))
+_CONFIG_SHAPED = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=10), children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=st.dictionaries(st.text(max_size=10), _CONFIG_SHAPED, max_size=6),
+       flow=st.sampled_from([None, True, False]))
+def test_dumped_documents_load_equal_under_both_loaders(doc, flow):
+    # repr, not ==, so that NaN and -0.0 compare too
+    text = yaml.safe_dump(doc, default_flow_style=flow, allow_unicode=True)
+    assert (repr(yaml.load(text, Loader=config._LOADER))
+            == repr(yaml.load(text, Loader=yaml.SafeLoader)))
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("arm: [1", id="no-final-newline"),
+    pytest.param("pso:\n  seed: 1\narm: [1, 2", id="no-final-newline-line-3"),
+    pytest.param("pso: {seed: 1}\r\narm: [1", id="crlf-no-final-newline"),
+    pytest.param("pso:\n\tseed: 1\n", id="tab-indent"),
+    pytest.param('camera:\n  fx: "600\n  fy: 600\n', id="unclosed-quote"),
+    pytest.param("arm:\n  home_q: [0, 1\npso: {}\n", id="unclosed-flow-sequence"),
+    pytest.param("arm: {home_q: [0, 1]\n\n\n", id="unclosed-flow-mapping"),
+    pytest.param("pso:\n  seed: *nowhere\n", id="undefined-alias"),
+])
+def test_yaml_error_reports_the_pure_parsers_line(tmp_path, text):
+    with pytest.raises(yaml.MarkedYAMLError) as pure:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(path)
+    message = str(exc_info.value)
+    assert "\n" not in message and str(path) in message
+    lines = re.findall(r", line (\d+):", message)
+    assert lines == [str(pure.value.problem_mark.line + 1)]
+
+
+def test_control_character_error_has_no_line(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"pso:\n  seed: \x01\n")
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(path)
+    message = str(exc_info.value)
+    assert "\n" not in message and str(path) in message
+    assert "line" not in message
+
+
+def test_shallow_config_with_many_indicators_loads(tmp_path):
+    # more nesting indicators than the depth limit send the text through the
+    # depth scan, which must pass a shallow document
+    text = default_config_path().read_text(encoding="utf-8")
+    path = tmp_path / "dashes.yaml"
+    path.write_text("# " + "-" * 2000 + "\n" + text, encoding="utf-8")
+    assert repr(load_config(path)) == repr(load_config(default_config_path()))

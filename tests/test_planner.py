@@ -529,6 +529,12 @@ def test_pso_config_rejects_what_breaks_the_score_bound(field, value):
         PsoConfig(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+def test_pso_config_rejects_a_seed_default_rng_refuses(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        PsoConfig(seed=seed)
+
+
 def test_plan_trace_monotone_and_lower_bound(chain, run_config):
     goal = chain.home_q + np.array([0.4, 0.2, -0.3, 0.2, 0.5])
     traj = plan_trajectory(chain, chain.home_q, goal, run_config.scene,
