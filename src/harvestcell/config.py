@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import re
+import reprlib
 import typing
 from importlib import resources
 
@@ -60,6 +61,16 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _MAX_DEPTH = 1000
 # the line breaks both parsers count (YAML 1.1)
 _LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
+# an error echoes the offending value cut to a few levels and at most
+# _ECHO_CHARS characters: a long or deeply nested value is not printed in
+# full, and its repr cannot run out of recursion
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 3
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
+_ECHO_CHARS = 80
+# a Python float: an int of any size compares with it exactly, where numpy
+# would first convert the int to a float and overflow
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,7 +100,10 @@ def _schema(cls) -> dict:
 
 def _check(ok: bool, path: str, what: str, raw) -> None:
     if not ok:
-        raise ConfigError(f"'{path}' must be {what}, got {raw!r}")
+        echo = _ECHO.repr(raw)
+        if len(echo) > _ECHO_CHARS:
+            echo = echo[:_ECHO_CHARS - 3] + "..."
+        raise ConfigError(f"'{path}' must be {what}, got {echo}")
 
 
 def _mapping(raw, path: str) -> dict:
@@ -105,7 +119,7 @@ def _list(raw, path: str, size: int | None = None) -> list:
 
 def _number(raw, path: str) -> float:
     ok = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    _check(ok and abs(raw) <= np.finfo(float).max, path, "a finite number", raw)
+    _check(ok and abs(raw) <= _FLOAT_MAX, path, "a finite number", raw)
     return float(raw)
 
 

@@ -12,6 +12,15 @@ a (trials, 3) noise block, and `run_pick_cycle` is a batch of one. The
 noise block never depends on sigma, so the success count is monotone in
 sigma whenever the systematic cut offset lies inside the cut zone, and
 `calibrate_noise` reads the calibrated sigma off one order statistic.
+
+Trials read only the plans' failure stage and outcome and the nominal cut
+center. So when `monte_carlo` or `calibrate_noise` plans for itself, it asks
+`plan_cycle` for `first_feasible` plans: each swarm stops at its first
+global best that scores below the collision penalty inside the joint
+limits. Such a best has no colliding sample, and the full run's final best
+could only score lower, so it is collision-free too; every IK answer, the
+cut center and the failure, if any, are those of the full plans. A caller
+that passes `plans` gets exactly the trials those plans give.
 """
 
 from __future__ import annotations
@@ -165,8 +174,8 @@ class CyclePlans:
 
 
 def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
-               planner_config: PsoConfig,
-               cycle_config: PickCycleConfig) -> CyclePlans:
+               planner_config: PsoConfig, cycle_config: PickCycleConfig, *,
+               first_feasible: bool = False) -> CyclePlans:
     """Plan the kinematic skeleton of a cycle (no randomness involved).
 
     Solves the pre-grasp, grasp and punnet IK first: their seeds are
@@ -185,6 +194,12 @@ def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
     IK (depart, fail_unreachable), the depart plan (depart, fail_no_plan).
     Each failure keeps what the cycle had reached before it; a depart
     failure keeps the cut center, because the cut runs before depart.
+
+    With `first_feasible`, both swarms stop at their first collision-free
+    global best (`plan_trajectories`): the failure stage and outcome, the
+    cut center and every IK answer are those of the default, but the
+    trajectories are feasible, not optimized, and their `gbest_trace` is
+    shorter. It suits callers that read only the decision.
     """
     if chain.home_q is None:
         raise ConfigError("chain has no home_q; harvest cycles need one")
@@ -218,7 +233,8 @@ def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
         # depart: the grasped tomato leaves the scene; retract to pre-grasp and go
         problems.append((q_pregrasp, q_punnet,
                          scene.without_sphere_containing(center)))
-    planned = plan_trajectories(chain, problems, planner_config)
+    planned = plan_trajectories(chain, problems, planner_config,
+                                first_feasible=first_feasible)
 
     approach = planned[0]
     if isinstance(approach, Exception):
@@ -307,6 +323,9 @@ def monte_carlo(target: TargetTomato, chain: KinematicChain, scene: Scene,
     without a success and the std 0.0 with one.
     `trials` lies in [1, _MAX_TRIALS] and grasp_theta_deg in the
     mechanism's theta_range; both are checked before any planning.
+    Without `plans` it plans the cycle with `first_feasible` set: trials
+    never read the trajectories, and the decision they do read is the full
+    plans' (see `plan_cycle`), so the result is the same as with them.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -320,7 +339,8 @@ def monte_carlo(target: TargetTomato, chain: KinematicChain, scene: Scene,
             f"grasp_theta_deg {cycle_config.grasp_theta_deg!r} lies outside the "
             f"mechanism's theta_range [{lo:g}, {hi:g}] deg")
     if plans is None:
-        plans = plan_cycle(target, chain, scene, planner_config, cycle_config)
+        plans = plan_cycle(target, chain, scene, planner_config, cycle_config,
+                           first_feasible=True)
     time_rng, noise_rng = _streams(cycle_config.seed)
     noise = noise_rng.standard_normal((trials, 3))
     durations = _durations(time_rng, cycle_config, trials)
@@ -404,7 +424,9 @@ def calibrate_noise(target: TargetTomato, chain: KinematicChain, scene: Scene,
     trials_per_eval lies within tolerance of target_rate, or when the sigma
     needed exceeds 5 * R. Like `monte_carlo`, it plans the cycle only when
     the caller passes no `plans`, after checking target_rate, tolerance
-    (finite, >= 0) and trials_per_eval (in [1, _MAX_TRIALS]).
+    (finite, >= 0) and trials_per_eval (in [1, _MAX_TRIALS]), and then with
+    `first_feasible` set: it reads only the failure and the cut center,
+    which are those of the full plans, so sigma is the same as with them.
     """
     if not 0.0 < target_rate < 1.0:
         raise ConfigError("target_rate must lie strictly between 0 and 1")
@@ -414,7 +436,8 @@ def calibrate_noise(target: TargetTomato, chain: KinematicChain, scene: Scene,
     if not 0.0 <= tolerance < math.inf:
         raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if plans is None:
-        plans = plan_cycle(target, chain, scene, planner_config, cycle_config)
+        plans = plan_cycle(target, chain, scene, planner_config, cycle_config,
+                           first_feasible=True)
     if plans.failure_stage is not None:
         raise CalibrationFailed(
             f"cycle fails at {plans.failure_stage} at every sigma")

@@ -54,6 +54,15 @@ score: the collision term is >= 0 and rounded addition is monotone. So a
 particle whose bound already reaches its personal best is not sampled or
 checked, and its slots keep their references, which stay valid. The
 swarm's bytes are those of scoring every particle.
+
+A caller that only needs to know whether planning succeeds can pass
+`first_feasible`: the swarm then stops before an iteration once every
+problem's global best scores below `collision_penalty` inside the joint
+limits. A colliding sample adds the whole penalty to a score whose other
+terms are >= 0, so that best is collision-free at the margin, and the global
+best never rises, so the full run would also have ended feasible. The
+answer to "does it plan?" is the full run's; the trajectory is only
+feasible, not optimized. By default the loop runs every iteration.
 """
 
 from __future__ import annotations
@@ -121,8 +130,14 @@ class Scene:
         np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])))
 
     def without_sphere_containing(self, point: np.ndarray) -> "Scene":
-        """Scene with any sphere that contains `point` removed (a grasped target)."""
+        """Scene with any sphere that contains `point` removed (a grasped
+        target). ValueError unless `point` is a finite 3-vector: a NaN
+        point would compare as lying inside no sphere and drop them all."""
         point = np.asarray(point, dtype=float)
+        if point.shape != (3,):
+            raise ValueError(f"point must be a 3-vector, got shape {point.shape}")
+        if not np.isfinite(point).all():
+            raise ValueError(f"point must be finite, got {point.tolist()}")
         kept = tuple(
             s for s in self.spheres
             if np.linalg.norm(np.asarray(s.center, dtype=float) - point) > s.radius
@@ -486,7 +501,8 @@ def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,
     return result
 
 
-def plan_trajectories(chain: KinematicChain, problems, config: PsoConfig
+def plan_trajectories(chain: KinematicChain, problems, config: PsoConfig, *,
+                      first_feasible: bool = False
                       ) -> list[Trajectory | InfeasibleEndpoints | NoFeasibleFound]:
     """Plan a sequence of P problems, each a (start, goal, scene), in one
     swarm loop.
@@ -505,6 +521,19 @@ def plan_trajectories(chain: KinematicChain, problems, config: PsoConfig
     NoFeasibleFound (carrying the best trajectory) when the best particle
     still has colliding samples after the final iteration. Neither stops or
     perturbs the other problems.
+
+    With `first_feasible`, the loop stops before an iteration once every
+    problem's global best scores below `collision_penalty` and lies inside
+    the joint limits. Such a best has no colliding sample at the margin,
+    since one would add the whole penalty to a score whose other terms are
+    >= 0, so it is feasible at `clearance`. The global best never rises and
+    every later candidate is clipped into the limits, so the full run's
+    final best is feasible too: each problem ends feasible or NoFeasibleFound
+    exactly as in the full run. If the condition never holds (always, when
+    `collision_penalty` is 0) the run is the full one, bit for bit. A
+    trajectory returned early is feasible but not optimized, and its
+    `gbest_trace` is shorter; it is for callers that only read whether
+    planning succeeded.
     """
     n = chain.n_joints
     lo, hi = chain.limit_arrays()
@@ -583,6 +612,12 @@ def plan_trajectories(chain: KinematicChain, problems, config: PsoConfig
     trace = [gbest_score.copy()]
 
     for _ in range(config.iterations):
+        # the initial draws are not clipped, so a best's zero limit term is
+        # checked here rather than assumed
+        if first_feasible and np.all(
+                (gbest_score < config.collision_penalty)
+                & ((q_lo <= gbest_pos) & (gbest_pos <= q_hi)).all(axis=1)):
+            break
         draws = np.array([(rng.random((size, dims)), rng.random((size, dims)))
                           for rng in rngs])
         r1, r2 = draws[:, 0], draws[:, 1]

@@ -248,6 +248,23 @@ def test_deeply_nested_config_fails_with_one_line(tmp_path, capsys, depth):
             else "unknown key 'a'" in err)
 
 
+@pytest.mark.parametrize("value", [
+    pytest.param("[" * 500 + "]" * 500, id="500-levels"),
+    pytest.param("[" * 900 + "]" * 900, id="900-levels"),
+    pytest.param("x" * 5000, id="long-scalar"),
+])
+def test_wrong_typed_value_is_echoed_bounded(tmp_path, capsys, value):
+    cfg = tmp_path / "wrong.yaml"
+    cfg.write_text(f"arm: {value}\n")
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["--quiet", "--config", str(cfg), "--out", str(out),
+                     "solve-mechanism"])
+    assert code == 1
+    assert not out.exists()
+    err = _assert_one_line_error(capsys)
+    assert "'arm' must be a mapping" in err and len(err) < 200
+
+
 def test_recursion_error_becomes_one_line(tmp_path, capsys, monkeypatch):
     # the pure parser composes recursively in Python and runs out of
     # recursion long before 500 levels

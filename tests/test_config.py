@@ -182,6 +182,21 @@ def test_any_leaf_value_parses_or_raises_one_line_config_error(
         assert "\n" not in str(exc)
 
 
+@pytest.mark.parametrize("key, value", [
+    pytest.param("iterations", 10**400, id="int-past-float-range"),
+    pytest.param("seed", -(10**400), id="negative-int-past-float-range"),
+    pytest.param("inertia", [[["y" * 5000] * 50] * 50] * 50, id="wide-nested-list"),
+    pytest.param("clearance", {"k" * 500: "v" * 500}, id="long-mapping"),
+])
+def test_rejected_value_is_echoed_bounded(shipped_raw, key, value):
+    raw = copy.deepcopy(shipped_raw)
+    raw.setdefault("pso", {})[key] = value
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(raw)
+    message = str(exc_info.value)
+    assert message.startswith(f"'pso.{key}' must be") and len(message) < 200
+
+
 def test_shipped_yaml_restates_no_default(shipped_raw):
     """Every leaf key of the shipped file changes the parsed config, so the
     file never repeats a dataclass default."""

@@ -19,7 +19,7 @@ from harvestcell.harvest import (STAGES, MonteCarloSummary, PickCycleConfig,
                                  default_stage_means, monte_carlo, plan_cycle,
                                  run_pick_cycle)
 from harvestcell.perception import TargetTomato, DetectionRecord, Keypoint
-from harvestcell.planner import plan_trajectory
+from harvestcell.planner import fitness, plan_trajectory
 
 
 def _dummy_record():
@@ -315,7 +315,7 @@ def test_calibrate_noise_bracket_failure(run_config, harvest_target,
                         trials_per_eval=5000)
 
 
-def _refuse(*args):
+def _refuse(*args, **kwargs):
     raise AssertionError("a checked argument reached planning")
 
 
@@ -401,7 +401,7 @@ def test_approach_plan_failure_precedes_grasp_ik_failure(
                 lambda p: np.array_equal(p, harvest_target.center_3d))
     batches = []
 
-    def blocked(chain, problems, config):
+    def blocked(chain, problems, config, **kwargs):
         batches.append(len(problems))
         return [InfeasibleEndpoints("blocked")] * len(problems)
 
@@ -432,7 +432,7 @@ def test_plan_cycle_reports_first_failure_in_cycle_order(
                 and np.array_equal(p, where[ik_fails]))
     plans_made = []
 
-    def planner(chain, problems, config):
+    def planner(chain, problems, config, **kwargs):
         plans_made.append(len(problems))
         return [InfeasibleEndpoints("blocked") if k in plan_fails else object()
                 for k in range(len(problems))]
@@ -583,7 +583,7 @@ def _counting(monkeypatch, module, name):
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -624,7 +624,7 @@ def test_calibrated_sigma_reproduces_order_statistic_count(
     axis = harvest_target.pedicel_3d - harvest_target.center_3d
     target = replace(harvest_target, pedicel_3d=harvest_target.pedicel_3d
                      + offset * axis / np.linalg.norm(axis))
-    monkeypatch.setattr(harvest, "plan_cycle", lambda *args: harvest_plans)
+    monkeypatch.setattr(harvest, "plan_cycle", lambda *args, **kwargs: harvest_plans)
     mc_calls = _counting(monkeypatch, harvest, "monte_carlo")
     cfg = replace(run_config.pick_cycle, seed=4242)
     sigma = calibrate_noise(target, run_config.arm, run_config.scene,
@@ -643,7 +643,7 @@ def test_calibrate_noise_reuses_given_plans(monkeypatch, run_config,
                             run_config.pso, run_config.pick_cycle, 0.80,
                             trials_per_eval=1000, plans=harvest_plans)
     assert plan_calls == []
-    monkeypatch.setattr(harvest, "plan_cycle", lambda *args: harvest_plans)
+    monkeypatch.setattr(harvest, "plan_cycle", lambda *args, **kwargs: harvest_plans)
     assert sigma == calibrate_noise(harvest_target, run_config.arm,
                                     run_config.scene, run_config.pso,
                                     run_config.pick_cycle, 0.80,
@@ -659,7 +659,7 @@ def test_calibrate_noise_rejects_offset_outside_cut_zone(monkeypatch,
     axis = harvest_target.pedicel_3d - harvest_target.center_3d
     target = replace(harvest_target, pedicel_3d=harvest_target.pedicel_3d
                      + 1.2 * radius * axis / np.linalg.norm(axis))
-    monkeypatch.setattr(harvest, "plan_cycle", lambda *args: harvest_plans)
+    monkeypatch.setattr(harvest, "plan_cycle", lambda *args, **kwargs: harvest_plans)
     with pytest.raises(CalibrationFailed, match="offset"):
         calibrate_noise(target, run_config.arm, run_config.scene,
                         run_config.pso, run_config.pick_cycle, 0.05)
@@ -702,3 +702,54 @@ def test_monte_carlo_bytes_pinned(run_config, harvest_target, harvest_plans):
     assert successes == {0, 1, 2}  # no, one and many successful trials
     assert digest.hexdigest() == (
         "c4a5202100783e824ab4c4b717acb9816b3db3989bced040d4defd0f30695790")
+
+
+@pytest.mark.parametrize("pso_seed", range(11, 16))
+def test_first_feasible_cycle_keeps_every_decision(run_config, harvest_target,
+                                                   pso_seed):
+    chain, scene = run_config.arm, run_config.scene
+    pso = replace(run_config.pso, seed=pso_seed)
+    args = (harvest_target, chain, scene, pso, run_config.pick_cycle)
+    full = plan_cycle(*args)
+    fast = plan_cycle(*args, first_feasible=True)
+    assert (fast.failure_stage, fast.failure_outcome) == (
+        full.failure_stage, full.failure_outcome)
+    for name in ("nominal_cut_center", "q_pregrasp", "q_grasp", "q_punnet"):
+        assert np.array_equal(getattr(fast, name), getattr(full, name))
+    after = scene.without_sphere_containing(harvest_target.center_3d)
+    for trajectory, start, goal, seen in (
+            (fast.approach_trajectory, chain.home_q, fast.q_pregrasp, scene),
+            (fast.depart_trajectory, fast.q_pregrasp, fast.q_punnet, after)):
+        assert np.array_equal(trajectory.waypoints[0], start)
+        assert np.array_equal(trajectory.waypoints[-1], goal)
+        breakdown = fitness(trajectory, chain, seen, pso)
+        assert breakdown.colliding_samples == 0
+        assert breakdown.limit_penalty == 0.0
+    # the shipped cell's swarms start with a collision-free global best
+    assert len(fast.approach_trajectory.gbest_trace) == 1
+
+
+@pytest.mark.parametrize("batch_seed", [7, 2024])
+def test_monte_carlo_without_plans_matches_full_plans(
+        monkeypatch, run_config, harvest_target, harvest_plans, batch_seed):
+    calls = _counting(monkeypatch, harvest, "plan_trajectories")
+    for sigma in (0.0, 0.0046, 0.05):
+        cfg = replace(run_config.pick_cycle, pose_noise_sigma=sigma,
+                      seed=batch_seed)
+        args = (harvest_target, run_config.arm, run_config.scene,
+                run_config.pso, cfg, 1000, run_config.mechanism)
+        assert (monte_carlo(*args, collect_reports=True)
+                == monte_carlo(*args, harvest_plans, collect_reports=True))
+    # planned on every call, nothing cached
+    assert calls == [{"first_feasible": True}] * 3
+
+
+def test_calibrate_noise_without_plans_matches_full_plans(
+        monkeypatch, run_config, harvest_target, harvest_plans):
+    calls = _counting(monkeypatch, harvest, "plan_trajectories")
+    args = (harvest_target, run_config.arm, run_config.scene, run_config.pso,
+            run_config.pick_cycle, 0.80)
+    assert (calibrate_noise(*args, trials_per_eval=1000)
+            == calibrate_noise(*args, trials_per_eval=1000,
+                               plans=harvest_plans))
+    assert calls == [{"first_feasible": True}]

@@ -554,9 +554,9 @@ def test_plan_endpoints_fixed(chain, run_config):
     assert np.all(traj.waypoints >= lo) and np.all(traj.waypoints <= hi)
 
 
-def test_no_feasible_found_carries_best(chain):
+def _blocked_problem(chain):
     # a blocking sphere at the mid-path tool position, sized to just spare
-    # both endpoints, with far too little optimization budget to route around
+    # both endpoints
     goal = chain.home_q + np.array([0.0, 0.9, -0.9, 0.2, 0.0])
     mid_tool = link_points(chain, (chain.home_q + goal) / 2.0)[-1]
     margin = min(
@@ -564,8 +564,15 @@ def test_no_feasible_found_carries_best(chain):
         for pts in (link_points(chain, chain.home_q), link_points(chain, goal))
         for a, b in zip(pts[:-1], pts[1:])
     )
-    scene = Scene(spheres=(Sphere(center=mid_tool, radius=float(margin) - 0.03),),
-                  workspace_bounds=BOUNDS)
+    blocked = Scene(spheres=(Sphere(center=mid_tool, radius=float(margin) - 0.03),),
+                    workspace_bounds=BOUNDS)
+    return chain.home_q, goal, blocked
+
+
+def test_no_feasible_found_carries_best(chain):
+    # the blocked problem, with far too little optimization budget to route
+    # around
+    _, goal, scene = _blocked_problem(chain)
     config = replace(FAST_PSO, iterations=3, swarm_size=4, seed=0)
     start_ok = not collision_check(chain, chain.home_q, scene,
                                    config.clearance).colliding
@@ -709,21 +716,65 @@ def test_bad_endpoint_leaves_other_plan_alone(chain, run_config, bad):
 def test_no_feasible_found_leaves_other_plan_alone(chain):
     # the blocked problem of test_no_feasible_found_carries_best, batched
     # with an empty-scene problem that sees no obstacle of the union
-    goal = chain.home_q + np.array([0.0, 0.9, -0.9, 0.2, 0.0])
-    mid_tool = link_points(chain, (chain.home_q + goal) / 2.0)[-1]
-    margin = min(
-        segment_point_distance(a, b, mid_tool)
-        for pts in (link_points(chain, chain.home_q), link_points(chain, goal))
-        for a, b in zip(pts[:-1], pts[1:])
-    )
-    blocked = Scene(spheres=(Sphere(center=mid_tool, radius=float(margin) - 0.03),),
-                    workspace_bounds=BOUNDS)
     config = replace(FAST_PSO, iterations=3, swarm_size=4, seed=0)
     problems = [(chain.home_q, chain.home_q + np.array([0.4, 0.2, -0.3, 0.2, 0.5]),
                  EMPTY),
-                (chain.home_q, goal, blocked)]
+                _blocked_problem(chain)]
     got = plan_trajectories(chain, problems, config)
     assert got[0].feasible
     assert isinstance(got[1], NoFeasibleFound)
     for result, problem in zip(got, problems):
         _assert_same_plan(result, _lone(chain, *problem, config))
+    # the blocked swarm never finds a collision-free best, so stopping at
+    # the first one changes nothing, for either problem
+    for result, want in zip(plan_trajectories(chain, problems, config,
+                                              first_feasible=True), got):
+        _assert_same_plan(result, want)
+
+
+@pytest.mark.parametrize("point, match", [
+    ([np.nan, 0.0, 0.0], "point must be finite"),
+    ([0.45, 0.0, np.inf], "point must be finite"),
+    ([0.45, 0.0], "point must be a 3-vector"),
+    (np.zeros((1, 3)), "point must be a 3-vector"),
+])
+def test_without_sphere_containing_rejects_a_bad_point(run_config, point,
+                                                       match):
+    # a NaN point lies in no sphere by comparison, so it would drop them all
+    with pytest.raises(ValueError, match=match):
+        run_config.scene.without_sphere_containing(point)
+
+
+def test_first_feasible_stops_at_the_first_collision_free_best(chain):
+    # seed 5's global best first scores below the collision penalty after
+    # two iterations; the empty-scene problem, free from the start, runs
+    # in lockstep until both are
+    config = replace(FAST_PSO, seed=5)
+    problems = [_blocked_problem(chain),
+                (chain.home_q, chain.home_q + np.array([0.4, 0.2, -0.3, 0.2, 0.5]),
+                 EMPTY)]
+    full = plan_trajectories(chain, problems, config)
+    fast = plan_trajectories(chain, problems, config, first_feasible=True)
+    trace = np.asarray(full[0].gbest_trace)
+    first = int(np.flatnonzero(trace < config.collision_penalty)[0])
+    assert first == 2
+    for got, want, (start, goal, scene) in zip(fast, full, problems):
+        assert want.feasible and got.feasible
+        assert got.gbest_trace == want.gbest_trace[:first + 1]
+        assert np.array_equal(got.waypoints[0], start)
+        assert np.array_equal(got.waypoints[-1], goal)
+        assert got.breakdown == fitness(got, chain, scene, config)
+    assert fast[1].gbest_trace[0] < config.collision_penalty
+
+
+def test_first_feasible_never_stops_without_a_collision_penalty(chain,
+                                                                run_config):
+    config = replace(FAST_PSO, collision_penalty=0.0)
+    problems = _cycle_problems(chain, run_config)
+    full = plan_trajectories(chain, problems, config)
+    for got, want in zip(plan_trajectories(chain, problems, config,
+                                           first_feasible=True), full):
+        _assert_same_plan(got, want)
+        if isinstance(want, NoFeasibleFound):
+            want = want.best_trajectory
+        assert len(want.gbest_trace) == config.iterations + 1
