@@ -10,7 +10,6 @@ YAML keys that differ from the field names:
 
     mechanism.theta_range_deg          MechanismParams.theta_range
     <frame>.quaternion_xyzw            RigidTransform.quaternion
-    scene.workspace_bounds.min, .max   Aabb.min_corner, .max_corner
     camera.extrinsics.translation      CameraModel.extrinsic_translation
     camera.extrinsics.quaternion_xyzw  CameraModel.extrinsic_quaternion
 
@@ -21,7 +20,9 @@ pure-Python `yaml.SafeLoader`. Every failure is a one-line ConfigError
 naming the file: an unreadable or non-UTF-8 file, a YAML error (with the
 pure parser's line number where the parser reports one), a document nested
 more than 1,000 levels deep or deeper than the interpreter's recursion
-limit allows, and every schema error above.
+limit allows, a scalar the YAML constructor cannot build (an integer past
+the interpreter's digit limit, 4,300 by default, or an impossible date), and
+every schema error above.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from .planner import PsoConfig, Scene
 _YAML_KEYS = {
     "theta_range": "theta_range_deg",
     "quaternion": "quaternion_xyzw",
-    "min_corner": "min",
-    "max_corner": "max",
     "extrinsic_translation": "extrinsics.translation",
     "extrinsic_quaternion": "extrinsics.quaternion_xyzw",
 }
@@ -62,8 +61,9 @@ _MAX_DEPTH = 1000
 # the line breaks both parsers count (YAML 1.1)
 _LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
 # an error echoes the offending value cut to a few levels and at most
-# _ECHO_CHARS characters: a long or deeply nested value is not printed in
-# full, and its repr cannot run out of recursion
+# _ECHO_CHARS characters, and an unknown key's path to _ECHO_CHARS: a long
+# or deeply nested value is not printed in full, and its repr cannot run out
+# of recursion
 _ECHO = reprlib.Repr()
 _ECHO.maxlevel = 3
 _ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
@@ -98,12 +98,13 @@ def _schema(cls) -> dict:
     return schema
 
 
+def _cut(text: str) -> str:
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS - 3] + "..."
+
+
 def _check(ok: bool, path: str, what: str, raw) -> None:
     if not ok:
-        echo = _ECHO.repr(raw)
-        if len(echo) > _ECHO_CHARS:
-            echo = echo[:_ECHO_CHARS - 3] + "..."
-        raise ConfigError(f"'{path}' must be {what}, got {echo}")
+        raise ConfigError(f"'{path}' must be {what}, got {_cut(_ECHO.repr(raw))}")
 
 
 def _mapping(raw, path: str) -> dict:
@@ -164,7 +165,7 @@ def _load(cls, raw, path: str):
         flat.update((f"{group}.{name}", x) for name, x in sub.items())
     for key in flat:
         if key not in schema or key in raw and "." in key:  # dotted keys are internal
-            raise ConfigError(f"unknown key '{prefix}{key}'")
+            raise ConfigError(f"unknown key '{_cut(f'{prefix}{key}')}'")
     kwargs = {}
     for key, (f, hint, required) in schema.items():
         value, key_path = flat.get(key), prefix + key
@@ -180,7 +181,7 @@ def _load(cls, raw, path: str):
             kwargs[f.name] = merged = f.default_factory()
             for name, x in _mapping(value, key_path).items():
                 if name not in merged:
-                    raise ConfigError(f"unknown key '{key_path}.{name}'")
+                    raise ConfigError(f"unknown key '{_cut(f'{key_path}.{name}')}'")
                 merged[name] = _coerce(typing.get_args(hint)[1], x, f"{key_path}.{name}")
         else:
             kwargs[f.name] = _coerce(hint, value, key_path)
@@ -223,7 +224,12 @@ def load_config(path) -> RunConfig:
         # holding many of them can nest too deeply for libyaml's composer
         if sum(map(text.count, "-[{?:")) > _MAX_DEPTH and _too_deep(text):
             raise ConfigError(f"config {path} nests too deeply")
-        raw = yaml.load(text, Loader=_LOADER)
+        try:
+            raw = yaml.load(text, Loader=_LOADER)
+        except ValueError as exc:
+            # the constructor's int() and date(): an integer past Python's
+            # digit limit for str -> int, an impossible date like 2020-13-01
+            raise ConfigError(f"invalid value in {path}: {exc}") from None
         return parse_config(raw if raw is not None else {})
     except yaml.YAMLError as exc:  # the parser's own text spans several lines
         mark, where = getattr(exc, "problem_mark", None), ""

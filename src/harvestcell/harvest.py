@@ -219,10 +219,15 @@ def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
         except NoConvergence:
             return None
 
+    reached = {}  # what the cycle has reached; each failure keeps it
+
+    def failed(stage, outcome):
+        return CyclePlans(**reached, failure_stage=stage, failure_outcome=outcome)
+
     q_pregrasp = solve(pregrasp_pos, toward_pedicel, chain.home_q)
     if q_pregrasp is None:
-        return CyclePlans(failure_stage="approach",
-                          failure_outcome="fail_unreachable")
+        return failed("approach", "fail_unreachable")
+    reached["q_pregrasp"] = q_pregrasp
     # separate: advance by insertion_depth so the gripper center reaches the tomato
     q_grasp = solve(center, toward_pedicel, q_pregrasp)
     q_punnet = solve(cycle_config.punnet_position, np.array([0.0, 0.0, -1.0]),
@@ -236,30 +241,18 @@ def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
     planned = plan_trajectories(chain, problems, planner_config,
                                 first_feasible=first_feasible)
 
-    approach = planned[0]
-    if isinstance(approach, Exception):
-        return CyclePlans(q_pregrasp=q_pregrasp, failure_stage="approach",
-                          failure_outcome="fail_no_plan")
+    if isinstance(planned[0], Exception):
+        return failed("approach", "fail_no_plan")
+    reached["approach_trajectory"] = planned[0]
     if q_grasp is None:
-        return CyclePlans(q_pregrasp=q_pregrasp, approach_trajectory=approach,
-                          failure_stage="separate",
-                          failure_outcome="fail_unreachable")
+        return failed("separate", "fail_unreachable")
+    reached.update(q_grasp=q_grasp, nominal_cut_center=nominal_cut_center)
     if q_punnet is None:
-        return CyclePlans(q_pregrasp=q_pregrasp, q_grasp=q_grasp,
-                          approach_trajectory=approach,
-                          nominal_cut_center=nominal_cut_center,
-                          failure_stage="depart",
-                          failure_outcome="fail_unreachable")
-    depart = planned[1]
-    if isinstance(depart, Exception):
-        return CyclePlans(q_pregrasp=q_pregrasp, q_grasp=q_grasp,
-                          q_punnet=q_punnet, approach_trajectory=approach,
-                          nominal_cut_center=nominal_cut_center,
-                          failure_stage="depart", failure_outcome="fail_no_plan")
-
-    return CyclePlans(q_pregrasp=q_pregrasp, q_grasp=q_grasp, q_punnet=q_punnet,
-                      approach_trajectory=approach, depart_trajectory=depart,
-                      nominal_cut_center=nominal_cut_center)
+        return failed("depart", "fail_unreachable")
+    reached["q_punnet"] = q_punnet
+    if isinstance(planned[1], Exception):
+        return failed("depart", "fail_no_plan")
+    return CyclePlans(**reached, depart_trajectory=planned[1])
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:

@@ -235,18 +235,15 @@ def xi_derivative(params: MechanismParams, theta_deg: float,
 
 
 def torque_single_finger(params: MechanismParams, theta_deg: float,
-                         force_p: float, branch: str = "elbow_up",
-                         include_vertical_term: bool = False) -> TorqueResult:
+                         force_p: float, branch: str = "elbow_up") -> TorqueResult:
     """Motor torque balancing grasp force P at the contact point.
 
     Virtual work on the contact point's horizontal travel gives
 
         T = P * l_dm * sin(xi) * (dxi/dtheta) + P * r * sin(theta)
 
-    in N*mm with the derivative in rad/rad. include_vertical_term=True adds
-    the vertical-travel contribution -P * l_dm * cos(xi) * (dxi/dtheta),
-    i.e. treats the force as acting on both displacement components; the
-    canonical output uses the horizontal term only.
+    in N*mm with the derivative in rad/rad. The contact point's vertical
+    travel is not counted.
     """
     if not 0.0 <= force_p < math.inf:
         raise ValueError(f"force_p must be finite and >= 0, got {force_p!r}")
@@ -257,8 +254,6 @@ def torque_single_finger(params: MechanismParams, theta_deg: float,
     xi = math.radians(sol.xi)
     torque = (force_p * params.l_dm * math.sin(xi) * dxi
               + force_p * params.r * math.sin(th))
-    if include_vertical_term:
-        torque -= force_p * params.l_dm * math.cos(xi) * dxi
     return TorqueResult(
         theta=theta_deg,
         force_p=force_p,

@@ -28,6 +28,8 @@ RIPENESS_CLASSES = ("ripe", "unripe")
 SELECTION_POLICIES = ("ripest-nearest", "highest-score")
 DEPTH_MAGIC = b"DPTH"
 DEFAULT_CONFIDENCE_THRESHOLD = 0.5
+# half-width in pixels of the depth neighborhood a keypoint is lifted from
+DEPTH_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -274,7 +276,7 @@ def camera_to_base(cam: CameraModel, p_cam) -> np.ndarray:
 
 
 def sample_depth(depth_frame: np.ndarray, u: float, v: float,
-                 window: int = 2) -> float:
+                 window: int = DEPTH_WINDOW) -> float:
     """Median of the valid depths in a (2*window+1)^2 neighborhood of (u, v).
 
     Invalid samples (non-finite or <= 0) are skipped; raises NoValidDepth
@@ -294,28 +296,26 @@ def sample_depth(depth_frame: np.ndarray, u: float, v: float,
     return float(np.median(valid))
 
 
-def _lift_keypoint(kp: Keypoint, cam: CameraModel, depth_frame: np.ndarray,
-                   window: int) -> tuple[np.ndarray, float]:
-    raw = sample_depth(depth_frame, kp.u, kp.v, window)
+def _lift_keypoint(kp: Keypoint, cam: CameraModel, depth_frame: np.ndarray
+                   ) -> tuple[np.ndarray, float]:
+    raw = sample_depth(depth_frame, kp.u, kp.v)
     p_cam = pixel_to_camera(cam, kp.u, kp.v, raw)
     return camera_to_base(cam, p_cam), p_cam[2]
 
 
 def build_target(record: DetectionRecord, cam: CameraModel,
-                 depth_frame: np.ndarray,
-                 min_confidence: float = DEFAULT_CONFIDENCE_THRESHOLD,
-                 depth_window: int = 2) -> TargetTomato:
+                 depth_frame: np.ndarray) -> TargetTomato:
     """Lift a detection into a 3D harvest target.
 
-    Both keypoints must clear the confidence threshold; the tomato radius is
-    estimated from the bbox width at the center keypoint's depth.
+    Both keypoints must reach DEFAULT_CONFIDENCE_THRESHOLD; each is lifted
+    from the median depth within DEPTH_WINDOW pixels, and the tomato radius
+    is estimated from the bbox width at the center keypoint's depth.
     """
     for name, kp in (("center", record.center), ("pedicel", record.pedicel)):
-        if kp.confidence < min_confidence:
-            raise LowConfidence(name, kp.confidence, min_confidence)
-    center_3d, z_center = _lift_keypoint(record.center, cam, depth_frame,
-                                         depth_window)
-    pedicel_3d, _ = _lift_keypoint(record.pedicel, cam, depth_frame, depth_window)
+        if kp.confidence < DEFAULT_CONFIDENCE_THRESHOLD:
+            raise LowConfidence(name, kp.confidence, DEFAULT_CONFIDENCE_THRESHOLD)
+    center_3d, z_center = _lift_keypoint(record.center, cam, depth_frame)
+    pedicel_3d, _ = _lift_keypoint(record.pedicel, cam, depth_frame)
     bbox_width = record.bbox[2] - record.bbox[0]
     radius = bbox_width * z_center / (2.0 * cam.fx)
     return TargetTomato(center_3d=center_3d, pedicel_3d=pedicel_3d,
@@ -324,8 +324,7 @@ def build_target(record: DetectionRecord, cam: CameraModel,
 
 
 def select_target(records: list[DetectionRecord], cam: CameraModel,
-                  depth_frame: np.ndarray, policy: str = "ripest-nearest",
-                  min_confidence: float = DEFAULT_CONFIDENCE_THRESHOLD
+                  depth_frame: np.ndarray, policy: str = "ripest-nearest"
                   ) -> TargetTomato:
     """Pick the harvest target among the ripe detections.
 
@@ -348,7 +347,7 @@ def select_target(records: list[DetectionRecord], cam: CameraModel,
         if rec.label != "ripe":
             continue
         try:
-            target = build_target(rec, cam, depth_frame, min_confidence)
+            target = build_target(rec, cam, depth_frame)
         except (LowConfidence, NoValidDepth, InvalidDepth, ValidationError):
             continue
         if policy == "ripest-nearest":

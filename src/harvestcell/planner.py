@@ -14,13 +14,13 @@ half-length) against the obstacle's core segment, and only pairs whose
 bound falls short of `cutoff` get exact distances (Ericson, Real-Time
 Collision Detection, 2004, ch. 4). `collision_check` passes cutoff=inf, so
 its answer is exact; scoring passes its collision threshold. One scorer,
-`_score`, interpolates and scores batches of polylines for the swarm,
-`fitness` and `recheck_feasible`. Link points come from `arm`'s one
-forward-kinematics kernel, `link_points_batch`, and the link vectors and
-the fixed end points of the leading links that do not move with q from the
-chain's compiled form. `_scene_arrays` compiles the scene once per public
-call against those: link half-lengths, and the exact clearance of the
-static links, measured once per call instead of once per configuration.
+`_score`, interpolates and scores batches of polylines for the swarm and
+`fitness`. Link points come from `arm`'s one forward-kinematics kernel,
+`link_points_batch`, and the link vectors and the fixed end points of the
+leading links that do not move with q from the chain's compiled form.
+`_scene_arrays` compiles the scene once per public call against those:
+link half-lengths, and the exact clearance of the static links, measured
+once per call instead of once per configuration.
 
 `plan_trajectories` plans P problems, each a (start, goal, scene), in one
 swarm loop, and `plan_trajectory` is its batch of one. Every iteration
@@ -43,8 +43,8 @@ when that clearance minus sum_i |dq_i| * levers[i] still clears the
 threshold: turning joint i by dq_i moves no body point farther than |dq_i|
 times the link lengths from joint i out to the tool
 (`chain.compiled.levers`). The counts, and so the swarm's bytes, are those
-of checking every sample;
-`fitness`, `recheck_feasible` and `collision_check` still check every one.
+of checking every sample; `fitness` and `collision_check` still check
+every one.
 
 Above the samples, the swarm skips whole particles, in the manner of lazy
 collision checking (Bohlin & Kavraki, ICRA 2000). After its first call the
@@ -68,7 +68,7 @@ feasible, not optimized. By default the loop runs every iteration.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -109,25 +109,11 @@ class Capsule:
 
 
 @dataclass(frozen=True)
-class Aabb:
-    min_corner: np.ndarray
-    max_corner: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.min_corner, dtype=float)
-        hi = np.asarray(self.max_corner, dtype=float)
-        if not np.all(lo < hi):
-            raise ConfigError("workspace bounds must satisfy min < max per axis")
-
-
-@dataclass(frozen=True)
 class Scene:
     """Obstacle set the arm must avoid."""
 
     spheres: tuple[Sphere, ...] = ()
     capsules: tuple[Capsule, ...] = ()
-    workspace_bounds: Aabb = field(default_factory=lambda: Aabb(
-        np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])))
 
     def without_sphere_containing(self, point: np.ndarray) -> "Scene":
         """Scene with any sphere that contains `point` removed (a grasped
@@ -142,8 +128,7 @@ class Scene:
             s for s in self.spheres
             if np.linalg.norm(np.asarray(s.center, dtype=float) - point) > s.radius
         )
-        return Scene(spheres=kept, capsules=self.capsules,
-                     workspace_bounds=self.workspace_bounds)
+        return Scene(spheres=kept, capsules=self.capsules)
 
 
 def check_seed(seed) -> None:
@@ -375,12 +360,11 @@ def collision_check(chain: KinematicChain, q, scene: Scene,
 
 
 def _score(paths: np.ndarray, chain: KinematicChain, arrays, config: PsoConfig,
-           clearance: float, samples_per_segment: int = SAMPLES_PER_SEGMENT,
-           refs: tuple[np.ndarray, np.ndarray] | None = None, ceiling=None,
-           problem: np.ndarray | None = None):
+           clearance: float, refs: tuple[np.ndarray, np.ndarray] | None = None,
+           ceiling=None, problem: np.ndarray | None = None):
     """Per-polyline (score, path length, collision term, limit term,
     colliding samples) of a (B, W, N) batch. Each segment is sampled at
-    t = 1/S ... S/S with S = samples_per_segment, so waypoints count once and
+    t = 1/S ... S/S with S = SAMPLES_PER_SEGMENT, so waypoints count once and
     the first row not at all (its validity is the planner's precondition).
     `problem`, (B,) indices into the problems `arrays` was compiled for,
     scores each polyline in its own problem's scene (None: problem 0).
@@ -404,7 +388,7 @@ def _score(paths: np.ndarray, chain: KinematicChain, arrays, config: PsoConfig,
     # inf waypoints make NaN deltas and samples
     with np.errstate(invalid="ignore"):
         deltas = np.diff(paths, axis=1)
-    per = deltas.shape[1] * samples_per_segment    # sample slots per polyline
+    per = deltas.shape[1] * SAMPLES_PER_SEGMENT    # sample slots per polyline
     path_len = np.linalg.norm(deltas, axis=2).sum(axis=1)
     limit_violation = (np.maximum(paths - hi, 0.0)
                        + np.maximum(lo - paths, 0.0)).sum(axis=(1, 2))
@@ -415,7 +399,7 @@ def _score(paths: np.ndarray, chain: KinematicChain, arrays, config: PsoConfig,
         live = np.flatnonzero(~(path_len + limit_term >= ceiling))
     owner = np.zeros(batch, dtype=np.intp) if problem is None else problem
     rows = np.repeat(owner[live], per)          # each sample's problem
-    fractions = (np.arange(samples_per_segment) + 1.0) / samples_per_segment
+    fractions = (np.arange(SAMPLES_PER_SEGMENT) + 1.0) / SAMPLES_PER_SEGMENT
     with np.errstate(invalid="ignore"):
         samples = (paths[live, :-1, None, :]
                    + fractions[None, None, :, None] * deltas[live, :, None, :]
@@ -474,15 +458,6 @@ def _breakdowns(paths: np.ndarray, chain: KinematicChain, arrays,
                              limit_penalty=limit_term, colliding_samples=count)
             for score, path_len, collision_term, limit_term, count
             in zip(*(part.tolist() for part in parts))]
-
-
-def recheck_feasible(trajectory: Trajectory, chain: KinematicChain, scene: Scene,
-                     config: PsoConfig, resolution_factor: int = 4) -> bool:
-    """Re-validate a trajectory at a finer interpolation resolution."""
-    waypoints = np.asarray(trajectory.waypoints, dtype=float)
-    counts = _score(waypoints[None], chain, _scene_arrays(chain, scene), config,
-                    config.clearance, SAMPLES_PER_SEGMENT * resolution_factor)[-1]
-    return not bool(counts[0])
 
 
 def plan_trajectory(chain: KinematicChain, start, goal, scene: Scene,

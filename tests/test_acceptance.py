@@ -142,7 +142,7 @@ def test_criterion_06_pso_quality(run_config):
     goal = chain.home_q + np.array([0.4, 0.2, -0.3, 0.2, 0.5])
     bench = replace(pso, seed=42, waypoints_per_particle=1, iterations=200,
                     swarm_size=30)
-    empty = Scene(workspace_bounds=scene.workspace_bounds)
+    empty = Scene()
     traj = plan_trajectory(chain, chain.home_q, goal, empty, bench)
     line = float(np.linalg.norm(goal - chain.home_q))
     assert traj.fitness <= 1.01 * line

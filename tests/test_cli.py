@@ -265,6 +265,37 @@ def test_wrong_typed_value_is_echoed_bounded(tmp_path, capsys, value):
     assert "'arm' must be a mapping" in err and len(err) < 200
 
 
+def test_long_unknown_key_is_echoed_bounded(tmp_path, capsys):
+    # libyaml refuses implicit keys over 1,024 characters; an explicit one
+    # can be any length
+    cfg = tmp_path / "key.yaml"
+    cfg.write_text("mechanism:\n  ? " + "k" * 5000 + "\n  : 1\n")
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["--quiet", "--config", str(cfg), "--out", str(out),
+                     "solve-mechanism"])
+    assert code == 1
+    assert not out.exists()
+    err = _assert_one_line_error(capsys)
+    assert "unknown key 'mechanism.kkk" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param("1" * 5000, id="5000-digit-int"),
+    pytest.param("2020-13-01", id="impossible-date"),
+])
+def test_unbuildable_yaml_scalar_fails_with_one_line(tmp_path, capsys, value):
+    # the YAML constructor's own int() and date() calls raise ValueError
+    cfg = tmp_path / "scalar.yaml"
+    cfg.write_text(f"pso: {{seed: {value}}}\n")
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["--quiet", "--config", str(cfg), "--out", str(out),
+                     "solve-mechanism"])
+    assert code == 1
+    assert not out.exists()
+    err = _assert_one_line_error(capsys)
+    assert f"invalid value in {cfg}" in err and len(err) < 300
+
+
 def test_recursion_error_becomes_one_line(tmp_path, capsys, monkeypatch):
     # the pure parser composes recursively in Python and runs out of
     # recursion long before 500 levels
@@ -438,8 +469,11 @@ def test_invalid_config_produces_no_output(tmp_path):
 @pytest.mark.parametrize("section, key, value, key_path", [
     pytest.param("scene", "spheres", 5, "scene.spheres", id="integer-spheres"),
     pytest.param("arm", "joints", [5], "arm.joints[0]", id="integer-joint"),
-    pytest.param("scene", "workspace_bounds", {"min": [-0.8, -0.8, 0.0]},
-                 "scene.workspace_bounds.max", id="no-bounds-max"),
+    pytest.param("scene", "capsules", [{"p0": [0, 0, 0], "p1": [0, 0, 1]}],
+                 "scene.capsules[0].radius", id="no-capsule-radius"),
+    pytest.param("scene", "workspace_bounds",
+                 {"min": [-0.8, -0.8, 0.0], "max": [0.8, 0.8, 1.0]},
+                 "unknown key 'scene.workspace_bounds'", id="workspace-bounds"),
     pytest.param("arm", "tool_offset", {"quaternion_xyzw": [1, 1, 0, 0]},
                  "'arm.tool_offset'", id="non-unit-quaternion"),
 ])

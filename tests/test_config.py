@@ -38,8 +38,8 @@ def _non_numeric_offset(raw):
     raw["arm"]["joints"][0]["offset"] = ["a", 0, 0]
 
 
-def _drop_bounds_max(raw):
-    del raw["scene"]["workspace_bounds"]["max"]
+def _drop_capsule_radius(raw):
+    del raw["scene"]["capsules"][0]["radius"]
 
 
 def _integer_joint(raw):
@@ -77,7 +77,8 @@ def _put(section, key, value):
     pytest.param(_zero_approach_axis, "arm.approach_axis", id="zero-approach"),
     pytest.param(_non_numeric_offset, "arm.joints[0].offset",
                  id="non-numeric-offset"),
-    pytest.param(_drop_bounds_max, "scene.workspace_bounds.max", id="no-bounds-max"),
+    pytest.param(_drop_capsule_radius, "scene.capsules[0].radius",
+                 id="no-capsule-radius"),
     pytest.param(_integer_joint, "arm.joints[0]", id="integer-joint"),
     pytest.param(_integer_spheres, "scene.spheres", id="integer-spheres"),
     pytest.param(_put("pso", "inertia", "x"), "pso.inertia", id="string-float"),

@@ -173,16 +173,6 @@ def test_torque_scales_with_length(params):
     assert tripled == pytest.approx(3.0 * base, rel=1e-12)
 
 
-def test_full_virtual_work_variant_differs(params):
-    printed = torque_single_finger(params, 45.0, 5.0)
-    full = torque_single_finger(params, 45.0, 5.0, include_vertical_term=True)
-    dxi = printed.dxi_dtheta
-    sol = solve_finger_position(params, 45.0)
-    extra = -5.0 * params.l_dm * math.cos(math.radians(sol.xi)) * dxi
-    assert full.torque_single == pytest.approx(
-        printed.torque_single + extra, rel=1e-12)
-
-
 def test_force_torque_curve_linearity(params):
     curve = force_torque_curve(params, 45.0, 0.0, 20.0, 21)
     forces = np.array([r.force_p for r in curve])

@@ -10,13 +10,12 @@ from harvestcell.arm import Joint, link_points, solve_ik_point
 from harvestcell.errors import (ConfigError, DimensionMismatch,
                                 InfeasibleEndpoints, NoFeasibleFound)
 from harvestcell.geometry import segment_point_distance, segment_segment_distance
-from harvestcell.planner import (Aabb, Capsule, PsoConfig, Scene, Sphere,
+from harvestcell.planner import (Capsule, PsoConfig, Scene, Sphere,
                                  _clearance, _scene_arrays, _score,
                                  collision_check, fitness, plan_trajectories,
-                                 plan_trajectory, recheck_feasible)
+                                 plan_trajectory)
 
-BOUNDS = Aabb(np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
-EMPTY = Scene(workspace_bounds=BOUNDS)
+EMPTY = Scene()
 
 # small swarm for unit tests; the shipped defaults run in test_acceptance
 FAST_PSO = PsoConfig(swarm_size=12, iterations=40, seed=1)
@@ -39,8 +38,6 @@ def test_scene_validation():
     with pytest.raises(ConfigError):
         Sphere(center=np.zeros(3), radius=0.0)
     with pytest.raises(ConfigError):
-        Aabb(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0]))
-    with pytest.raises(ConfigError):
         PsoConfig(swarm_size=1)
     with pytest.raises(ConfigError):
         PsoConfig(inertia=1.5)
@@ -54,8 +51,7 @@ def test_collision_check_empty_scene(chain):
 
 def test_collision_check_sphere_on_tool_point(chain):
     tool = link_points(chain, chain.home_q)[-1]
-    scene = Scene(spheres=(Sphere(center=tool, radius=0.05),),
-                  workspace_bounds=BOUNDS)
+    scene = Scene(spheres=(Sphere(center=tool, radius=0.05),))
     result = collision_check(chain, chain.home_q, scene, clearance=0.0)
     assert result.colliding
     assert result.min_clearance == pytest.approx(-0.05, abs=1e-12)
@@ -69,7 +65,7 @@ def _random_scene(rng):
                              p1=rng.uniform(-0.5, 0.5, 3),
                              radius=float(rng.uniform(0.02, 0.1)))
                      for _ in range(2))
-    return Scene(spheres=spheres, capsules=capsules, workspace_bounds=BOUNDS)
+    return Scene(spheres=spheres, capsules=capsules)
 
 
 def test_collision_min_clearance_matches_sampling_oracle(chain):
@@ -133,7 +129,7 @@ def test_broad_phase_flags_exactly_the_close_configurations(chain, threshold,
                          for _ in range(2))
         if trial == 5:
             capsules = (branch,)
-        scene = Scene(spheres=spheres, capsules=capsules, workspace_bounds=BOUNDS)
+        scene = Scene(spheres=spheres, capsules=capsules)
         arrays = _scene_arrays(chain, scene)
         qs = rng.uniform(lo, hi, size=(200, chain.n_joints))
         got = _clearance(chain, qs, arrays, threshold)
@@ -194,8 +190,7 @@ def test_static_links_checked_once(chain, variant, static):
                            Sphere(center=np.array([-0.05, 0.02, 0.19]),
                                   radius=0.02)),
                   capsules=(Capsule(p0=np.array([0.3, -0.3, 0.3]),
-                                    p1=np.array([0.35, 0.3, 0.35]), radius=0.015),),
-                  workspace_bounds=BOUNDS)
+                                    p1=np.array([0.35, 0.3, 0.35]), radius=0.015),))
     arrays = _scene_arrays(chain, scene)
     assert chain.compiled.first_moving == static
     lo, hi = chain.limit_arrays()
@@ -435,8 +430,7 @@ def test_plan_start_equals_goal(chain):
 
 def test_plan_goal_inside_obstacle(chain):
     tool = link_points(chain, chain.home_q + 0.3)[-1]
-    scene = Scene(spheres=(Sphere(center=tool, radius=0.05),),
-                  workspace_bounds=BOUNDS)
+    scene = Scene(spheres=(Sphere(center=tool, radius=0.05),))
     with pytest.raises(InfeasibleEndpoints):
         plan_trajectory(chain, chain.home_q, chain.home_q + 0.3, scene, FAST_PSO)
 
@@ -564,8 +558,7 @@ def _blocked_problem(chain):
         for pts in (link_points(chain, chain.home_q), link_points(chain, goal))
         for a, b in zip(pts[:-1], pts[1:])
     )
-    blocked = Scene(spheres=(Sphere(center=mid_tool, radius=float(margin) - 0.03),),
-                    workspace_bounds=BOUNDS)
+    blocked = Scene(spheres=(Sphere(center=mid_tool, radius=float(margin) - 0.03),))
     return chain.home_q, goal, blocked
 
 
@@ -585,6 +578,15 @@ def test_no_feasible_found_carries_best(chain):
     assert not best.feasible
 
 
+def _refined(waypoints, factor):
+    """The same polyline with each segment split into `factor` equal parts,
+    so `fitness` samples it `factor` times as densely."""
+    starts, deltas = waypoints[:-1], np.diff(waypoints, axis=0)
+    parts = np.arange(factor) / factor
+    inner = starts[:, None, :] + parts[None, :, None] * deltas[:, None, :]
+    return np.vstack([inner.reshape(-1, waypoints.shape[1]), waypoints[-1:]])
+
+
 def test_recheck_at_higher_resolution(chain, run_config):
     # property: feasible plans stay collision-free at 4x sampling in >= 90%
     # of seeded runs (full-scale evidence lives in the acceptance suite)
@@ -601,7 +603,9 @@ def test_recheck_at_higher_resolution(chain, run_config):
         except NoFeasibleFound:
             continue
         checked += 1
-        passed += recheck_feasible(traj, chain, scene, pso)
+        fine = _refined(traj.waypoints, 4)
+        assert len(fine) == 4 * (len(traj.waypoints) - 1) + 1
+        passed += fitness(fine, chain, scene, pso).colliding_samples == 0
     assert checked > 0
     assert passed == checked
 
@@ -684,7 +688,7 @@ def test_problem_without_obstacles_reads_no_clearance(chain):
     assert chain.compiled.first_moving == 1
     base_mid = chain.compiled.static_points.mean(axis=0)
     scene = Scene(spheres=(Sphere(center=base_mid + [0.04, 0.0, 0.0],
-                                  radius=0.03),), workspace_bounds=BOUNDS)
+                                  radius=0.03),))
     union = _scene_arrays(chain, scene, EMPTY)
     qs = np.vstack([chain.home_q, PINNED_GOAL])
     got = _clearance(chain, np.vstack([qs, qs]), union, np.inf,
@@ -704,8 +708,7 @@ def test_bad_endpoint_leaves_other_plan_alone(chain, run_config, bad):
     else:
         goal = chain.home_q + 0.3
         tool = link_points(chain, goal)[-1]
-        scene = Scene(spheres=(Sphere(center=tool, radius=0.05),),
-                      workspace_bounds=BOUNDS)
+        scene = Scene(spheres=(Sphere(center=tool, radius=0.05),))
     got = plan_trajectories(chain, [(chain.home_q, goal, scene), approach],
                             FAST_PSO)
     assert isinstance(got[0], InfeasibleEndpoints)
