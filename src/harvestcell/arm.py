@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .domains import Checked, Natural, NonNegative, Positive
 from .errors import ConfigError, DimensionMismatch, NoConvergence
 
 _UNIT_TOL = 1e-12
@@ -314,7 +315,7 @@ def jacobian(chain: KinematicChain, q) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IkOptions:
+class IkOptions(Checked):
     """Damped-least-squares iteration settings.
 
     `damping` is the floor of the effective damping factor; far from the
@@ -322,20 +323,10 @@ class IkOptions:
     when the seed is poor without slowing final convergence.
     """
 
-    max_iters: int = 200
-    tol_pos: float = 1e-6
-    tol_rot: float = 1e-4
-    damping: float = 0.005
-
-    def __post_init__(self):
-        if not self.max_iters >= 0:
-            raise ConfigError(f"max_iters must be >= 0, got {self.max_iters!r}")
-        for name in ("tol_pos", "tol_rot"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(
-                    f"{name} must be finite and > 0, got {getattr(self, name)!r}")
-        if not 0.0 <= self.damping < math.inf:
-            raise ConfigError(f"damping must be finite and >= 0, got {self.damping!r}")
+    max_iters: Natural = 200
+    tol_pos: Positive = 1e-6
+    tol_rot: Positive = 1e-4
+    damping: NonNegative = 0.005
 
 
 def _approach_error(tool_rot: np.ndarray, approach: np.ndarray,

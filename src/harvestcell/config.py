@@ -4,8 +4,12 @@ The schema is the dataclass fields themselves: `parse_config` walks the
 fields of `RunConfig` and of the dataclasses nested in it, and coerces each
 YAML value by its field's annotation. Omitted or null keys take the
 dataclass defaults, unknown keys are rejected, and every error is a
-ConfigError naming the full key path, e.g. 'scene.spheres[0].radius'. The
-mechanism is in mm/deg, the rest in m/rad unless a key says otherwise.
+ConfigError naming the full key path, e.g. 'scene.spheres[0].radius'. So
+does a value outside the domain its field declares (`domains`):
+`'camera.depth_scale' must be finite and > 0, got -1.0`. A failed check
+between fields names the section: `'mechanism': theta_range must satisfy
+min < max`. The mechanism is in mm/deg, the rest in m/rad unless a key says
+otherwise.
 YAML keys that differ from the field names:
 
     mechanism.theta_range_deg          MechanismParams.theta_range
@@ -30,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import re
-import reprlib
 import typing
 from importlib import resources
 
@@ -38,7 +41,8 @@ import numpy as np
 import yaml
 
 from .arm import KinematicChain
-from .errors import ConfigError
+from .domains import FINITE, cut, shown
+from .errors import ConfigError, DomainError
 from .harvest import PickCycleConfig
 from .mechanism import MechanismParams, check_assembly_range
 from .perception import CameraModel
@@ -60,17 +64,6 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _MAX_DEPTH = 1000
 # the line breaks both parsers count (YAML 1.1)
 _LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
-# an error echoes the offending value cut to a few levels and at most
-# _ECHO_CHARS characters, and an unknown key's path to _ECHO_CHARS: a long
-# or deeply nested value is not printed in full, and its repr cannot run out
-# of recursion
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel = 3
-_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
-_ECHO_CHARS = 80
-# a Python float: an int of any size compares with it exactly, where numpy
-# would first convert the int to a float and overflow
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,13 +91,9 @@ def _schema(cls) -> dict:
     return schema
 
 
-def _cut(text: str) -> str:
-    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS - 3] + "..."
-
-
 def _check(ok: bool, path: str, what: str, raw) -> None:
     if not ok:
-        raise ConfigError(f"'{path}' must be {what}, got {_cut(_ECHO.repr(raw))}")
+        raise DomainError(path, what, shown(raw))
 
 
 def _mapping(raw, path: str) -> dict:
@@ -119,8 +108,7 @@ def _list(raw, path: str, size: int | None = None) -> list:
 
 
 def _number(raw, path: str) -> float:
-    ok = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    _check(ok and abs(raw) <= _FLOAT_MAX, path, "a finite number", raw)
+    _check(FINITE.holds(raw), path, "a finite number", raw)
     return float(raw)
 
 
@@ -133,7 +121,7 @@ def _coerce(hint, raw, path: str):
     if hint is int:
         _check(_number(raw, path).is_integer(), path, "an integer", raw)
         return int(raw)
-    if hint is str:
+    if hint is str or typing.get_origin(hint) is typing.Literal:
         _check(isinstance(raw, str), path, "a string", raw)
         return raw
     args = typing.get_args(hint)  # tuple[X, ...] or a fixed-length tuple
@@ -165,7 +153,7 @@ def _load(cls, raw, path: str):
         flat.update((f"{group}.{name}", x) for name, x in sub.items())
     for key in flat:
         if key not in schema or key in raw and "." in key:  # dotted keys are internal
-            raise ConfigError(f"unknown key '{_cut(f'{prefix}{key}')}'")
+            raise ConfigError(f"unknown key '{cut(f'{prefix}{key}')}'")
     kwargs = {}
     for key, (f, hint, required) in schema.items():
         value, key_path = flat.get(key), prefix + key
@@ -181,12 +169,16 @@ def _load(cls, raw, path: str):
             kwargs[f.name] = merged = f.default_factory()
             for name, x in _mapping(value, key_path).items():
                 if name not in merged:
-                    raise ConfigError(f"unknown key '{_cut(f'{key_path}.{name}')}'")
+                    raise ConfigError(f"unknown key '{cut(f'{key_path}.{name}')}'")
                 merged[name] = _coerce(typing.get_args(hint)[1], x, f"{key_path}.{name}")
         else:
             kwargs[f.name] = _coerce(hint, value, key_path)
     try:
         return cls(**kwargs)
+    except DomainError as exc:  # named by its field: name its key path
+        name, item = re.match(r"(\w+)(.*)", exc.key).groups()
+        key = prefix + _YAML_KEYS.get(name, name) + item
+        raise DomainError(key, exc.domain, exc.shown) from None
     except ConfigError as exc:
         raise ConfigError(f"'{path}': {exc}") from None
 

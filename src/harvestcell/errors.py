@@ -13,6 +13,15 @@ class ConfigError(HarvestCellError):
     """Invalid or inconsistent configuration."""
 
 
+class DomainError(ConfigError):
+    """A setting outside its domain. `key` names it: a field, an item such
+    as `theta_range[0]` or `stage_time_means.cut`, or a config key path."""
+
+    def __init__(self, key: str, domain: str, shown: str):
+        self.key, self.domain, self.shown = key, domain, shown
+        super().__init__(f"'{key}' must be {domain}, got {shown}")
+
+
 # --- mechanism ---------------------------------------------------------
 
 class NoAssembly(HarvestCellError):

@@ -27,19 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
 from . import mechanism
 from .arm import IkOptions, KinematicChain, solve_ik_point
+from .domains import Checked, Finite, Interval, Natural, Vec3
 from .errors import CalibrationFailed, ConfigError, NoConvergence
 from .mechanism import MechanismParams
 from .perception import TargetTomato
 # plan_trajectory is not called here; harvestbench's traced run wraps
 # `harvest.plan_trajectory` by name, so the name stays importable
 from .planner import (PsoConfig, Scene, Trajectory,  # noqa: F401
-                      check_seed, plan_trajectories, plan_trajectory)
+                      plan_trajectories, plan_trajectory)
 
 STAGES = ("approach", "separate", "cut", "grasp", "depart", "release")
 # the stages a trial executes, by their number: always a prefix of STAGES
@@ -52,6 +53,8 @@ _MAX_TRIALS = 1_000_000
 # a cycle accepts: sums of squared deviations of its draws over a whole
 # batch then stay far inside the float range.
 _MAX_MAGNITUDE = 1e100
+Magnitude = Annotated[float, Interval(0.0, _MAX_MAGNITUDE)]
+PositiveMagnitude = Annotated[float, Interval(0.0, _MAX_MAGNITUDE, lo_open=True)]
 
 
 def default_stage_means() -> dict[str, float]:
@@ -70,67 +73,33 @@ TOTAL_CYCLE_SECONDS = sum(default_stage_means().values())
 
 
 @dataclass(frozen=True)
-class PickCycleConfig:
+class PickCycleConfig(Checked):
     """Timing, noise and cut-geometry settings of one pick cycle.
 
     cut_trigger_distance is the depth threshold that fires the cutter: at
     fire time the cutter keypoint sits that far from the tomato center
     along the center-to-pedicel direction. Matching it to the actual
     pedicel offset gives zero systematic cut error.
-
-    Stage means, lengths, pose_noise_sigma and grasp_force lie in
-    [0, _MAX_MAGNITUDE] (means and lengths > 0), grasp_theta_deg and
-    punnet_position are finite and seed is a non-negative integer;
-    anything else is a ConfigError naming the field.
     """
 
-    stage_time_means: dict[str, float] = field(default_factory=default_stage_means)
-    stage_time_stddev_frac: float = 0.1
-    pose_noise_sigma: float = 0.0046
-    cut_zone_radius: float = 0.010
-    cut_trigger_distance: float = 0.020
-    insertion_depth: float = 0.080
-    grasp_force: float = 5.0
-    grasp_theta_deg: float = 60.0
-    punnet_position: np.ndarray = field(
+    stage_time_means: dict[str, PositiveMagnitude] = field(
+        default_factory=default_stage_means)
+    stage_time_stddev_frac: Annotated[float, Interval(0.0, 1.0, hi_open=True)] = 0.1
+    pose_noise_sigma: Magnitude = 0.0046
+    cut_zone_radius: PositiveMagnitude = 0.010
+    cut_trigger_distance: PositiveMagnitude = 0.020
+    insertion_depth: PositiveMagnitude = 0.080
+    grasp_force: Magnitude = 5.0
+    grasp_theta_deg: Finite = 60.0
+    punnet_position: Vec3 = field(
         default_factory=lambda: np.array([0.10, -0.30, 0.30]))
-    seed: int = 1234
+    seed: Natural = 1234
 
     def __post_init__(self):
+        super().__post_init__()
         if set(self.stage_time_means) != set(STAGES):
             raise ConfigError(
                 f"stage_time_means must have exactly the stages {STAGES}")
-        for stage, mean in self.stage_time_means.items():
-            if not 0.0 < mean <= _MAX_MAGNITUDE:  # also NaN
-                raise ConfigError(f"stage mean for '{stage}' must lie in "
-                                  f"(0, {_MAX_MAGNITUDE:g}], got {mean!r}")
-        if not 0.0 <= self.stage_time_stddev_frac < 1.0:
-            raise ConfigError("stage_time_stddev_frac must lie in [0, 1)")
-        _check_magnitude("pose_noise_sigma", self.pose_noise_sigma,
-                         positive=False)
-        _check_magnitude("cut_zone_radius", self.cut_zone_radius, positive=True)
-        _check_magnitude("cut_trigger_distance", self.cut_trigger_distance,
-                         positive=True)
-        _check_magnitude("insertion_depth", self.insertion_depth, positive=True)
-        _check_magnitude("grasp_force", self.grasp_force, positive=False)
-        if not math.isfinite(self.grasp_theta_deg):
-            raise ConfigError(
-                f"grasp_theta_deg must be finite, got {self.grasp_theta_deg!r}")
-        punnet = np.asarray(self.punnet_position, dtype=float)
-        # math.isfinite per element costs a quarter of np.isfinite(...).all()
-        if punnet.shape != (3,) or not all(map(math.isfinite, punnet.tolist())):
-            raise ConfigError("punnet_position must be a finite 3-vector")
-        check_seed(self.seed)
-
-
-def _check_magnitude(name: str, value: float, positive: bool) -> None:
-    """ConfigError unless value lies in [0, _MAX_MAGNITUDE], or in
-    (0, _MAX_MAGNITUDE] when positive; NaN lies in neither."""
-    if not ((0.0 < value if positive else 0.0 <= value)
-            and value <= _MAX_MAGNITUDE):
-        low = "(0" if positive else "[0"
-        raise ConfigError(
-            f"{name} must lie in {low}, {_MAX_MAGNITUDE:g}], got {value!r}")
 
 
 class PickCycleReport(NamedTuple):

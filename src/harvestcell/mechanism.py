@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Annotated
 
+from .domains import Checked, Count, Interval, Positive
 from .errors import ConfigError, DegenerateGeometry, NearSingular, NoAssembly
 
 BRANCHES = ("elbow_up", "elbow_down")
@@ -33,10 +35,11 @@ _MAX_ANGLES = 1_000_000
 # Most force samples a torque curve may ask for: each is one torque
 # solve and one result object, so a million already takes seconds.
 _MAX_FORCE_STEPS = 1_000_000
+Degrees = Annotated[float, Interval(0.0, 360.0, hi_open=True)]
 
 
 @dataclass(frozen=True)
-class MechanismParams:
+class MechanismParams(Checked):
     """Link lengths and offsets of one finger linkage (mm / deg).
 
     r: crank radius; f: slider-to-ground horizontal offset; a, b: ground
@@ -45,30 +48,24 @@ class MechanismParams:
     contact-point distance. theta_range bounds the crank angle in degrees.
     """
 
-    r: float = 20.0
-    f: float = 40.0
-    a: float = 10.0
-    b: float = 5.0
-    c: float = 25.0
-    d: float = 30.0
-    e: float = 35.0
-    l_s: float = 15.0
-    l_p: float = 25.0
-    l_dm: float = 45.0
-    theta_range: tuple[float, float] = (0.0, 120.0)
-    finger_count: int = 6
+    r: Positive = 20.0
+    f: Positive = 40.0
+    a: Positive = 10.0
+    b: Positive = 5.0
+    c: Positive = 25.0
+    d: Positive = 30.0
+    e: Positive = 35.0
+    l_s: Positive = 15.0
+    l_p: Positive = 25.0
+    l_dm: Positive = 45.0
+    theta_range: tuple[Degrees, Degrees] = (0.0, 120.0)
+    finger_count: Count = 6
 
     def __post_init__(self):
-        for name in ("r", "f", "a", "b", "c", "d", "e", "l_s", "l_p", "l_dm"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"mechanism length '{name}' must be > 0")
+        super().__post_init__()
         lo, hi = self.theta_range
         if not (lo < hi):
             raise ConfigError("theta_range must satisfy min < max")
-        if not (0.0 <= lo < 360.0 and 0.0 <= hi < 360.0):
-            raise ConfigError("theta_range bounds must lie in [0, 360) deg")
-        if self.finger_count < 1:
-            raise ConfigError("finger_count must be >= 1")
 
     def scaled(self, s: float) -> "MechanismParams":
         """All length parameters multiplied by s (angles untouched)."""

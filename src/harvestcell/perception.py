@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arm import quat_to_matrix
+from .domains import Checked, Count, Finite, Positive, Vec3
 from .errors import (ConfigError, InvalidDepth, LowConfidence, NoRipeTarget,
                      NoValidDepth, ParseError, ValidationError)
 
@@ -52,24 +53,23 @@ class DetectionRecord:
 
 
 @dataclass(frozen=True)
-class CameraModel:
+class CameraModel(Checked):
     """Pinhole intrinsics plus camera-to-base extrinsics."""
 
-    fx: float = 700.0
-    fy: float = 700.0
-    cx: float = 640.0
-    cy: float = 360.0
-    width: int = 1280
-    height: int = 720
+    fx: Positive = 700.0
+    fy: Positive = 700.0
+    cx: Finite = 640.0
+    cy: Finite = 360.0
+    width: Count = 1280
+    height: Count = 720
     extrinsic_quaternion: np.ndarray = field(
         default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
-    extrinsic_translation: np.ndarray = field(
+    extrinsic_translation: Vec3 = field(
         default_factory=lambda: np.zeros(3))
-    depth_scale: float = 1.0
+    depth_scale: Positive = 1.0
 
     def __post_init__(self):
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise ConfigError("focal lengths must be > 0")
+        super().__post_init__()
         if not (0.0 < self.cx < self.width and 0.0 < self.cy < self.height):
             raise ConfigError("principal point must lie inside the image")
         with np.errstate(over="ignore"):  # an overflowing norm fails below

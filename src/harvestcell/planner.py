@@ -68,14 +68,16 @@ feasible, not optimized. By default the loop runs every iteration.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Annotated, Literal, NamedTuple
 
 import numpy as np
 
 from .arm import KinematicChain, link_points_batch
-from .errors import (ConfigError, DimensionMismatch, InfeasibleEndpoints,
-                     NoFeasibleFound)
+from .domains import (Checked, Count, Finite, Interval, Natural, NonNegative,
+                      Positive, Vec3)
+from .errors import DimensionMismatch, InfeasibleEndpoints, NoFeasibleFound
 from .geometry import segment_point_distance, segment_segment_distance
 
 NO_OBSTACLE_CLEARANCE = np.finfo(float).max
@@ -86,26 +88,18 @@ _BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class Sphere:
-    center: np.ndarray
-    radius: float
-    tag: str = "other"  # "tomato" or "other"
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ConfigError("sphere radius must be > 0")
+class Sphere(Checked):
+    center: Vec3
+    radius: Positive
+    tag: Literal["tomato", "other"] = "other"
 
 
 @dataclass(frozen=True)
-class Capsule:
-    p0: np.ndarray
-    p1: np.ndarray
-    radius: float
-    tag: str = "branch"  # "stem" or "branch"
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ConfigError("capsule radius must be > 0")
+class Capsule(Checked):
+    p0: Vec3
+    p1: Vec3
+    radius: Positive
+    tag: Literal["stem", "branch"] = "branch"
 
 
 @dataclass(frozen=True)
@@ -131,18 +125,9 @@ class Scene:
         return Scene(spheres=kept, capsules=self.capsules)
 
 
-def check_seed(seed) -> None:
-    """ConfigError naming `seed` unless it is a non-negative integer (not a
-    bool), the seeds numpy's default_rng takes."""
-    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
-            or seed < 0):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 @dataclass(frozen=True)
-class PsoConfig:
-    """Swarm hyperparameters; all runs are deterministic given `seed`, a
-    non-negative integer.
+class PsoConfig(Checked):
+    """Swarm hyperparameters; all runs are deterministic given `seed`.
 
     `penalty_margin` tightens the clearance used inside the optimization
     only, so solutions stand off obstacles instead of grazing them between
@@ -150,38 +135,19 @@ class PsoConfig:
     plain `clearance`.
     """
 
-    swarm_size: int = 30
-    iterations: int = 150
-    inertia: float = 0.7
-    cognitive: float = 1.5
-    social: float = 1.5
-    waypoints_per_particle: int = 3
-    seed: int = 42
-    collision_penalty: float = 100.0
-    limit_penalty: float = 100.0
-    clearance: float = 0.01
-    penalty_margin: float = 0.005
-
-    def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ConfigError("swarm_size must be >= 2")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if not 0.0 <= self.inertia <= 1.0:
-            raise ConfigError("inertia must lie in [0, 1]")
-        if self.cognitive < 0.0 or self.social < 0.0:
-            raise ConfigError("cognitive/social weights must be >= 0")
-        if self.waypoints_per_particle < 1:
-            raise ConfigError("waypoints_per_particle must be >= 1")
-        # the swarm's lower bound on a score, path length + limit term, holds
-        # only for penalties >= 0
-        for name in ("collision_penalty", "limit_penalty", "penalty_margin"):
-            value = getattr(self, name)
-            if not 0.0 <= value < np.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-        if not np.isfinite(self.clearance):
-            raise ConfigError(f"clearance must be finite, got {self.clearance!r}")
-        check_seed(self.seed)
+    swarm_size: Annotated[int, Interval(2, math.inf, integer=True)] = 30
+    iterations: Count = 150
+    inertia: Annotated[float, Interval(0.0, 1.0)] = 0.7
+    cognitive: NonNegative = 1.5
+    social: NonNegative = 1.5
+    waypoints_per_particle: Count = 3
+    seed: Natural = 42
+    # the swarm's lower bound on a score, path length + limit term, holds
+    # only for penalties >= 0
+    collision_penalty: NonNegative = 100.0
+    limit_penalty: NonNegative = 100.0
+    clearance: Finite = 0.01
+    penalty_margin: NonNegative = 0.005
 
 
 @dataclass(frozen=True)

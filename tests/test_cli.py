@@ -127,8 +127,28 @@ def test_pick_stats_negative_seed_fails_before_planning(tmp_path, capsys,
                      "--depth", str(depth)])
     assert code == 1
     assert not out.exists()
-    assert "seed must be a non-negative integer" in _assert_one_line_error(
+    assert "'seed' must be an integer >= 0" in _assert_one_line_error(
         capsys)
+
+
+@pytest.mark.parametrize("depth_scale", [-1, 0])
+def test_pick_stats_non_positive_depth_scale_names_the_key(tmp_path, capsys,
+                                                           detection_fixture,
+                                                           depth_scale):
+    raw = _shipped_raw()
+    raw["camera"]["depth_scale"] = depth_scale
+    cfg = tmp_path / "scale.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    det, depth = detection_fixture
+    out = tmp_path / "stats.json"
+    code = cli.main(["--quiet", "--config", str(cfg), "--out", str(out),
+                     "pick-stats", "--detections", str(det),
+                     "--depth", str(depth)])
+    assert code == 1
+    assert not out.exists()
+    assert not (tmp_path / "stats.trials.csv").exists()
+    assert "'camera.depth_scale' must be finite and > 0" in (
+        _assert_one_line_error(capsys))
 
 
 def test_plan_negative_seed_fails_before_planning(tmp_path, capsys,
@@ -139,7 +159,7 @@ def test_plan_negative_seed_fails_before_planning(tmp_path, capsys,
                      "plan", "--goal", "0.3,0.1,0.2,0.5,0.1"])
     assert code == 1
     assert not out.exists()
-    assert "seed must be a non-negative integer" in _assert_one_line_error(
+    assert "'seed' must be an integer >= 0" in _assert_one_line_error(
         capsys)
 
 

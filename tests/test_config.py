@@ -1,15 +1,32 @@
 import copy
+import dataclasses
+import math
 import re
+import typing
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harvestcell import config
+from harvestcell.arm import IkOptions
 from harvestcell.config import (RunConfig, default_config_path, load_config,
                                 parse_config)
-from harvestcell.errors import ConfigError
+from harvestcell.domains import FINITE, FLOAT_MAX, Interval, Vector
+from harvestcell.errors import ConfigError, DomainError
+from harvestcell.harvest import PickCycleConfig
+from harvestcell.mechanism import MechanismParams
+from harvestcell.perception import CameraModel
+from harvestcell.planner import Capsule, PsoConfig, Sphere
+
+# the settings dataclasses whose fields declare their domains, by the config
+# section that holds one of them, and all seven (IkOptions is not loaded)
+_SECTIONS = {"mechanism": MechanismParams, "camera": CameraModel,
+             "pso": PsoConfig, "pick_cycle": PickCycleConfig,
+             "scene.spheres[0]": Sphere, "scene.capsules[0]": Capsule}
+_CHECKED = (*_SECTIONS.values(), IkOptions)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +75,14 @@ def _integer_sphere_tag(raw):
     raw["scene"]["spheres"][0]["tag"] = 5
 
 
+def _misspelt_sphere_tag(raw):
+    raw["scene"]["spheres"][0]["tag"] = "tomatoe"
+
+
+def _misspelt_capsule_tag(raw):
+    raw["scene"]["capsules"][0]["tag"] = "stems"
+
+
 def _non_unit_tool_quaternion(raw):
     raw["arm"]["tool_offset"]["quaternion_xyzw"] = [1, 1, 0, 0]
 
@@ -94,14 +119,31 @@ def _put(section, key, value):
                  "pick_cycle.punnet_position", id="inf-punnet"),
     pytest.param(_put("pso", "swarm_size", 2.7), "pso.swarm_size",
                  id="fractional-swarm"),
-    pytest.param(_put("pso", "collision_penalty", -1), "'pso': collision_penalty",
+    pytest.param(_put("pso", "collision_penalty", -1),
+                 "'pso.collision_penalty' must be finite and >= 0",
                  id="negative-collision-penalty"),
-    pytest.param(_put("pso", "limit_penalty", -5.0), "'pso': limit_penalty",
+    pytest.param(_put("pso", "limit_penalty", -5.0),
+                 "'pso.limit_penalty' must be finite and >= 0",
                  id="negative-limit-penalty"),
     pytest.param(_put("mechanism", "finger_count", 2.5), "mechanism.finger_count",
                  id="fractional-fingers"),
     pytest.param(_four_entry_home_q, "arm.home_q", id="short-home-q"),
     pytest.param(_integer_sphere_tag, "scene.spheres[0].tag", id="integer-tag"),
+    pytest.param(_misspelt_sphere_tag,
+                 "'scene.spheres[0].tag' must be one of 'tomato', 'other'",
+                 id="misspelt-sphere-tag"),
+    pytest.param(_misspelt_capsule_tag,
+                 "'scene.capsules[0].tag' must be one of 'stem', 'branch'",
+                 id="misspelt-capsule-tag"),
+    pytest.param(_put("camera", "depth_scale", -1),
+                 "'camera.depth_scale' must be finite and > 0",
+                 id="negative-depth-scale"),
+    pytest.param(_put("mechanism", "theta_range_deg", [0, 360]),
+                 "'mechanism.theta_range_deg[1]' must be in [0, 360)",
+                 id="full-turn-theta"),
+    pytest.param(_put("pick_cycle", "stage_time_means", {"cut": 0}),
+                 "'pick_cycle.stage_time_means.cut' must be in (0, 1e+100]",
+                 id="zero-stage-mean"),
     pytest.param(_non_unit_tool_quaternion, "'arm.tool_offset'",
                  id="non-unit-quaternion"),
 ])
@@ -287,3 +329,173 @@ def test_shallow_config_with_many_indicators_loads(tmp_path):
     path = tmp_path / "dashes.yaml"
     path.write_text("# " + "-" * 2000 + "\n" + text, encoding="utf-8")
     assert repr(load_config(path)) == repr(load_config(default_config_path()))
+
+
+_OBSTACLE = {Sphere: {"center": np.zeros(3), "radius": 0.03},
+             Capsule: {"p0": np.zeros(3), "p1": np.ones(3), "radius": 0.01}}
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (PsoConfig, "cognitive", math.nan),
+    (PsoConfig, "social", math.inf),
+    (PsoConfig, "swarm_size", 2.5),
+    (CameraModel, "fx", math.nan),
+    (CameraModel, "fx", math.inf),
+    (CameraModel, "depth_scale", math.nan),
+    (CameraModel, "depth_scale", -1),
+    (MechanismParams, "r", math.inf),
+    (MechanismParams, "finger_count", math.nan),
+    (Sphere, "radius", math.inf),
+    (Capsule, "radius", math.inf),
+    (Sphere, "center", [math.nan] * 3),
+    (Sphere, "tag", "tomatoe"),
+    (Capsule, "tag", "stems"),
+])
+def test_out_of_domain_setting_rejected_on_construction(cls, field, value):
+    with pytest.raises(ConfigError, match=rf"^'{field}' must be "):
+        cls(**{**_OBSTACLE.get(cls, {}), field: value})
+
+
+def _declarations(cls):
+    """(field, annotation with its domain, plain annotation) per field."""
+    full = typing.get_type_hints(cls, include_extras=True)
+    plain = typing.get_type_hints(cls)
+    return [(f.name, full[f.name], plain[f.name]) for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls", _CHECKED, ids=lambda c: c.__name__)
+def test_every_numeric_setting_declares_its_domain(cls):
+    declared = 0
+    for name, full, plain in _declarations(cls):
+        if plain in (float, int):
+            parts = [full]
+        elif typing.get_origin(plain) in (tuple, dict):
+            parts = [arg for arg, kind in zip(typing.get_args(full),
+                                              typing.get_args(plain))
+                     if kind in (float, int)]
+        else:
+            continue
+        for part in parts:
+            assert typing.get_origin(part) is typing.Annotated, name
+            declared += 1
+    assert declared
+
+
+def _leaves(shipped):
+    """(key path, setter, domain) of each declared leaf that the loader
+    reaches: a scalar field, a tuple or vector element, a dict value, or a
+    choice among strings (the domain is then the tuple of choices)."""
+    parsed = parse_config(shipped)
+    for section, cls in _SECTIONS.items():
+        obj = parsed
+        for token in _tokens(section):
+            obj = (obj[int(token[1:-1])] if token.startswith("[")
+                   else getattr(obj, token))
+        for name, full, _ in _declarations(cls):
+            key = config._YAML_KEYS.get(name, name)
+            path = f"{section}.{key}"
+            origin, args = typing.get_origin(full), typing.get_args(full)
+            current = getattr(obj, name)
+            if origin is typing.Literal:
+                yield path, _setter(section, key), args
+            elif origin is typing.Annotated and isinstance(args[1], Vector):
+                for i in range(args[1].size):
+                    yield (f"{path}[{i}]",
+                           _setter(section, key, current.tolist(), i), FINITE)
+            elif origin is typing.Annotated:
+                yield path, _setter(section, key), args[1]
+            elif origin is tuple:
+                for i, item in enumerate(args):
+                    yield (f"{path}[{i}]", _setter(section, key, list(current), i),
+                           typing.get_args(item)[1])
+            elif origin is dict:
+                for stage in current:
+                    yield (f"{path}.{stage}", _setter(section, key, {}, stage),
+                           typing.get_args(args[1])[1])
+
+
+def _tokens(section):
+    """'scene.spheres[0]' -> ['scene', 'spheres', '[0]']"""
+    return re.findall(r"\w+|\[\d+\]", section)
+
+
+def _setter(section, key, container=None, item=None):
+    """Sets `section.key` in a raw document, or one item of the container
+    (a copy of `container`) stored there."""
+    def put(raw, value):
+        node = raw
+        for token in _tokens(section) + key.split(".")[:-1]:
+            node = (node[int(token[1:-1])] if token.startswith("[")
+                    else node.setdefault(token, {}))
+        if container is None:
+            node[key.split(".")[-1]] = value
+        else:
+            node[key.split(".")[-1]] = copy.copy(container)
+            node[key.split(".")[-1]][item] = value
+    return put
+
+
+with open(default_config_path(), "r", encoding="utf-8") as _fh:
+    _DECLARED_LEAVES = list(_leaves(yaml.safe_load(_fh)))
+
+
+def _inside(domain):
+    if not isinstance(domain, Interval):
+        return st.sampled_from(domain)
+    if domain.integer:
+        return st.integers(min_value=domain.lo, max_value=2**63)
+    lo = math.nextafter(domain.lo, math.inf) if domain.lo_open else domain.lo
+    hi = math.nextafter(domain.hi, -math.inf) if domain.hi_open else domain.hi
+    return st.floats(lo, hi)
+
+
+def _outside(domain):
+    if not isinstance(domain, Interval):
+        return st.one_of(st.integers(), st.text(max_size=8).filter(
+            lambda text: text not in domain))
+    parts = [st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf])]
+    if domain.integer:
+        return st.one_of(*parts, st.integers(max_value=domain.lo - 1),
+                         st.integers(domain.lo, 10**6).map(lambda n: n + 0.5))
+    if domain.lo > -FLOAT_MAX:
+        parts.append(st.floats(max_value=domain.lo if domain.lo_open
+                               else math.nextafter(domain.lo, -math.inf)))
+    if domain.hi < FLOAT_MAX:
+        parts.append(st.floats(min_value=domain.hi if domain.hi_open
+                               else math.nextafter(domain.hi, math.inf)))
+    return st.one_of(*parts)
+
+
+# keys an in-domain value of which can still fail a check between fields:
+# theta_range order and the principal point inside the image
+_CROSS_FIELD = {"mechanism.theta_range_deg[0]", "mechanism.theta_range_deg[1]",
+                "camera.cx", "camera.cy", "camera.width", "camera.height"}
+
+
+@pytest.mark.parametrize("path, put, domain", _DECLARED_LEAVES,
+                         ids=[path for path, _, _ in _DECLARED_LEAVES])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_declared_domain_bounds_what_the_loader_accepts(
+        shipped_raw, path, put, domain, data):
+    raw = copy.deepcopy(shipped_raw)
+    put(raw, data.draw(_inside(domain), label="inside"))
+    try:
+        assert isinstance(parse_config(raw), RunConfig)
+    except ConfigError as exc:  # only a check between fields may fail
+        assert path in _CROSS_FIELD and not isinstance(exc, DomainError), exc
+    raw = copy.deepcopy(shipped_raw)
+    put(raw, data.draw(_outside(domain), label="outside"))
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(raw)
+    message = str(exc_info.value)
+    assert "\n" not in message and message.startswith(f"'{path}' must be ")
+
+
+def test_declared_leaves_cover_every_section():
+    paths = [path for path, _, _ in _DECLARED_LEAVES]
+    assert len(paths) == len(set(paths))
+    for section in _SECTIONS:
+        assert any(path.startswith(section + ".") for path in paths), section
+    assert {"pick_cycle.stage_time_means.cut", "camera.extrinsics.translation[2]",
+            "scene.spheres[0].tag", "mechanism.theta_range_deg[1]"} <= set(paths)
