@@ -23,23 +23,25 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .domains import Checked, Natural, NonNegative, Positive
-from .errors import ConfigError, DimensionMismatch, NoConvergence
+from .domains import (UNIT_QUATERNION, Checked, Finite, Natural, NonNegative,
+                      Positive, Quaternion, Vec3, Vector, shown)
+from .errors import ConfigError, DimensionMismatch, DomainError, NoConvergence
 
-_UNIT_TOL = 1e-12
+_DIRECTION = Vector(3, direction=True)
+Direction3 = Annotated[np.ndarray, _DIRECTION]
 
 
 # --- small rotation / quaternion helpers (scalar-last convention x,y,z,w) --
 
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    x, y, z, w = q
-    n = x * x + y * y + z * z + w * w
-    if not abs(n - 1.0) <= 1e-9:  # NaN fails too
-        raise ConfigError(f"quaternion must have unit norm, got |q|^2={float(n)!r}")
+def quat_to_matrix(q) -> np.ndarray:
+    unit = UNIT_QUATERNION.canon(q)
+    if unit is None:
+        raise DomainError("quaternion", str(UNIT_QUATERNION), shown(q))
+    x, y, z, w = unit
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
@@ -69,54 +71,45 @@ def matrix_to_quat(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RigidTransform:
+class RigidTransform(Checked):
     """Rotation (unit quaternion, x,y,z,w) plus translation (m)."""
 
-    translation: np.ndarray = field(
+    translation: Vec3 = field(
         default_factory=lambda: np.zeros(3))
-    quaternion: np.ndarray = field(
+    quaternion: Quaternion = field(
         default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
 
-    def __post_init__(self):
-        with np.errstate(over="ignore"):  # an overflowing norm fails the test
-            self.matrix()
-
     def matrix(self) -> np.ndarray:
-        return quat_to_matrix(np.asarray(self.quaternion, dtype=float))
+        return quat_to_matrix(self.quaternion)
 
 
 @dataclass(frozen=True)
-class Pose:
-    """End-effector frame: position (m) and orientation quaternion (x,y,z,w)."""
+class Pose(Checked):
+    """End-effector frame: position (m) and orientation quaternion (x,y,z,w).
+    IK checks the position of a target pose."""
 
     position: np.ndarray
-    orientation: np.ndarray
-
-    def __post_init__(self):
-        n = float(np.linalg.norm(self.orientation))
-        if not abs(n - 1.0) <= 1e-9:
-            raise ConfigError(f"pose quaternion norm {n!r} not within 1e-9 of 1")
+    orientation: Quaternion
 
 
 @dataclass(frozen=True)
-class Joint:
-    """One revolute joint: unit rotation axis and origin offset in the parent frame."""
+class Joint(Checked):
+    """One revolute joint: rotation axis (stored unit length) and origin
+    offset in the parent frame."""
 
-    axis: np.ndarray
-    offset: np.ndarray
-    limits: tuple[float, float]
+    axis: Direction3
+    offset: Vec3
+    limits: tuple[Finite, Finite]
 
     def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        if not abs(np.linalg.norm(axis) - 1.0) <= _UNIT_TOL:
-            raise ConfigError(f"joint axis must be unit norm, got {axis.tolist()}")
+        super().__post_init__()
         lo, hi = self.limits
         if not lo < hi:
             raise ConfigError("joint limits must satisfy min < max")
 
 
 @dataclass(frozen=True)
-class KinematicChain:
+class KinematicChain(Checked):
     """Serial revolute chain: base frame, joints, tool offset, approach axis.
 
     approach_axis is the tool-frame direction the gripper points along;
@@ -127,22 +120,23 @@ class KinematicChain:
     joints: tuple[Joint, ...]
     base_frame: RigidTransform = field(default_factory=RigidTransform)
     tool_offset: RigidTransform = field(default_factory=RigidTransform)
-    approach_axis: np.ndarray = field(
+    approach_axis: Direction3 = field(
         default_factory=lambda: np.array([1.0, 0.0, 0.0]))
     home_q: np.ndarray | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.joints) < 1:
             raise ConfigError("chain needs at least one joint")
-        axis = np.asarray(self.approach_axis, dtype=float)
-        if not abs(np.linalg.norm(axis) - 1.0) <= _UNIT_TOL:
-            raise ConfigError("approach_axis must be unit norm")
         if self.home_q is not None:
-            q = self.check_q(self.home_q)
+            # its domain depends on the joints: their count and limits
+            q = Vector(self.n_joints).canon(self.home_q)
             lo, hi = self.limit_arrays()
-            if not np.all((lo <= q) & (q <= hi)):  # also false for NaN
-                raise ConfigError(
-                    f"home_q must be finite and within the joint limits, got {q.tolist()}")
+            if q is None or not np.all((lo <= q) & (q <= hi)):
+                raise DomainError(
+                    "home_q", f"a finite {self.n_joints}-vector within the joint limits",
+                    shown(self.home_q))
+            object.__setattr__(self, "home_q", q)
 
     @property
     def n_joints(self) -> int:
@@ -174,9 +168,8 @@ class KinematicChain:
         levers = np.cumsum(np.linalg.norm(offsets[1:], axis=1)[::-1])[::-1]
         compiled = CompiledChain(
             offsets, axes, k, np.array([m @ m for m in k]), self.base_frame.matrix(),
-            np.asarray(self.base_frame.translation, dtype=float),
-            self.tool_offset.matrix(), first_moving, static_points=None,
-            levers=levers, approach=np.array(self.approach_axis, dtype=float))
+            self.base_frame.translation, self.tool_offset.matrix(), first_moving,
+            static_points=None, levers=levers, approach=self.approach_axis)
         # the static points are the same at every q, so take them at q = 0
         points = _frames(compiled, np.zeros((1, self.n_joints)))[0][0]
         return compiled._replace(static_points=points[:first_moving + 1])
@@ -350,8 +343,7 @@ def _approach_error(tool_rot: np.ndarray, approach: np.ndarray,
 
 def target_approach_axis(target: Pose, chain: KinematicChain) -> np.ndarray:
     """The target pose's approach direction in the base frame."""
-    return quat_to_matrix(np.asarray(target.orientation, dtype=float)) \
-        @ chain.compiled.approach
+    return quat_to_matrix(target.orientation) @ chain.compiled.approach
 
 
 def inverse_kinematics(chain: KinematicChain, target: Pose, seed_q,
@@ -366,11 +358,11 @@ def solve_ik_point(chain: KinematicChain, position, approach_axis, seed_q,
                    opts: IkOptions = IkOptions()) -> np.ndarray:
     """IK towards a position and an approach direction of any non-zero
     length, given directly."""
-    axis = np.asarray(approach_axis, dtype=float)
-    if axis.shape != (3,) or not 0.0 < np.linalg.norm(axis) < math.inf:
+    unit_axis = _DIRECTION.canon(approach_axis)
+    if unit_axis is None:
         raise ValueError(
-            f"approach_axis must be a finite non-zero 3-vector, got {axis.tolist()}")
-    return _solve(chain, position, axis / np.linalg.norm(axis), seed_q, opts)
+            f"approach_axis must be {_DIRECTION}, got {shown(approach_axis)}")
+    return _solve(chain, position, unit_axis, seed_q, opts)
 
 
 def _solve(chain: KinematicChain, position, unit_axis: np.ndarray, seed_q,

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import mechanism
+from . import mechanism, perception
 from .config import RunConfig, load_config, load_default_config
 from .errors import (HarvestCellError, InfeasibleEndpoints, NoFeasibleFound,
                      NoRipeTarget)
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", required=True, help="detection-record JSON file")
     p.add_argument("--depth", required=True, help="binary depth frame file")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--policy", choices=("ripest-nearest", "highest-score"),
+    p.add_argument("--policy", choices=perception.SELECTION_POLICIES,
                    default="ripest-nearest")
     return parser
 

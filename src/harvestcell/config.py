@@ -1,15 +1,17 @@
 """Single-file YAML configuration covering every module.
 
 The schema is the dataclass fields themselves: `parse_config` walks the
-fields of `RunConfig` and of the dataclasses nested in it, and coerces each
-YAML value by its field's annotation. Omitted or null keys take the
+fields of `RunConfig` and of the dataclasses nested in it and maps only the
+YAML structure: a mapping to a dataclass, a list of mappings to a tuple of
+them, the stage means onto their defaults. Every other value goes to its
+constructor as it is, and the domain its field declares (`domains`) checks
+it and stores it in canonical form. Omitted or null keys take the
 dataclass defaults, unknown keys are rejected, and every error is a
-ConfigError naming the full key path, e.g. 'scene.spheres[0].radius'. So
-does a value outside the domain its field declares (`domains`):
-`'camera.depth_scale' must be finite and > 0, got -1.0`. A failed check
-between fields names the section: `'mechanism': theta_range must satisfy
-min < max`. The mechanism is in mm/deg, the rest in m/rad unless a key says
-otherwise.
+ConfigError naming the full key path, e.g. 'scene.spheres[0].radius', also
+for a value outside its domain: `'camera.depth_scale' must be finite and >
+0, got -1.0`. A failed check between fields names the section:
+`'mechanism': theta_range must satisfy min < max`. The mechanism is in
+mm/deg, the rest in m/rad unless a key says otherwise.
 YAML keys that differ from the field names:
 
     mechanism.theta_range_deg          MechanismParams.theta_range
@@ -37,11 +39,10 @@ import re
 import typing
 from importlib import resources
 
-import numpy as np
 import yaml
 
 from .arm import KinematicChain
-from .domains import FINITE, cut, shown
+from .domains import cut, shown
 from .errors import ConfigError, DomainError
 from .harvest import PickCycleConfig
 from .mechanism import MechanismParams, check_assembly_range
@@ -55,7 +56,6 @@ _YAML_KEYS = {
     "extrinsic_translation": "extrinsics.translation",
     "extrinsic_quaternion": "extrinsics.quaternion_xyzw",
 }
-_UNIT_FIELDS = {"axis", "approach_axis"}
 # libyaml's scanner and parser when PyYAML was built with it, under the same
 # SafeConstructor and resolver as yaml.safe_load
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -78,68 +78,20 @@ class RunConfig:
 
 @functools.cache
 def _schema(cls) -> dict:
-    """YAML key -> (field, annotation without `| None`, whether required)."""
+    """YAML key -> (field, annotation, whether required)."""
     hints = typing.get_type_hints(cls)
     schema = {}
     for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        if type(None) in typing.get_args(hint):  # X | None
-            hint = typing.get_args(hint)[0]
         required = (f.default is dataclasses.MISSING
                     and f.default_factory is dataclasses.MISSING)
-        schema[_YAML_KEYS.get(f.name, f.name)] = (f, hint, required)
+        schema[_YAML_KEYS.get(f.name, f.name)] = (f, hints[f.name], required)
     return schema
 
 
-def _check(ok: bool, path: str, what: str, raw) -> None:
-    if not ok:
-        raise DomainError(path, what, shown(raw))
-
-
 def _mapping(raw, path: str) -> dict:
-    _check(raw is None or isinstance(raw, dict), path, "a mapping", raw)
+    if not (raw is None or isinstance(raw, dict)):
+        raise DomainError(path, "a mapping", shown(raw))
     return raw or {}
-
-
-def _list(raw, path: str, size: int | None = None) -> list:
-    ok = isinstance(raw, list) and size in (None, len(raw))
-    _check(ok, path, "a list" if size is None else f"a list of {size}", raw)
-    return raw
-
-
-def _number(raw, path: str) -> float:
-    _check(FINITE.holds(raw), path, "a finite number", raw)
-    return float(raw)
-
-
-def _coerce(hint, raw, path: str):
-    """A scalar, tuple or dataclass value by its annotation."""
-    if dataclasses.is_dataclass(hint):
-        return _load(hint, raw, path)
-    if hint is float:
-        return _number(raw, path)
-    if hint is int:
-        _check(_number(raw, path).is_integer(), path, "an integer", raw)
-        return int(raw)
-    if hint is str or typing.get_origin(hint) is typing.Literal:
-        _check(isinstance(raw, str), path, "a string", raw)
-        return raw
-    args = typing.get_args(hint)  # tuple[X, ...] or a fixed-length tuple
-    items = _list(raw, path, None if args[-1] is Ellipsis else len(args))
-    kinds = args[:1] * len(items) if args[-1] is Ellipsis else args
-    return tuple(_coerce(kind, x, f"{path}[{i}]")
-                 for i, (kind, x) in enumerate(zip(kinds, items)))
-
-
-def _vector(raw, path: str, size: int, unit: bool) -> np.ndarray:
-    vec = np.array([_number(x, f"{path}[{i}]")
-                    for i, x in enumerate(_list(raw, path, size))])
-    if not unit:
-        return vec
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected
-        norm = np.linalg.norm(vec)
-    _check(0.0 < norm < np.inf, path, "a nonzero finite vector", raw)
-    return vec / norm
 
 
 def _load(cls, raw, path: str):
@@ -161,18 +113,22 @@ def _load(cls, raw, path: str):
             continue
         if value is None and not dataclasses.is_dataclass(hint):
             raise ConfigError(f"'{key_path}' is required")
-        if hint is np.ndarray:
-            size = (len(kwargs["joints"]) if f.name == "home_q"
-                    else 4 if "quaternion" in f.name else 3)
-            kwargs[f.name] = _vector(value, key_path, size, f.name in _UNIT_FIELDS)
-        elif typing.get_origin(hint) is dict:
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if dataclasses.is_dataclass(hint):
+            kwargs[f.name] = _load(hint, value, key_path)
+        elif origin is tuple and dataclasses.is_dataclass(args[0]):  # tuple[X, ...]
+            if not isinstance(value, list):
+                raise DomainError(key_path, "a list", shown(value))
+            kwargs[f.name] = tuple(_load(args[0], x, f"{key_path}[{i}]")
+                                   for i, x in enumerate(value))
+        elif origin is dict:  # the stage means: the defaults, updated
             kwargs[f.name] = merged = f.default_factory()
             for name, x in _mapping(value, key_path).items():
                 if name not in merged:
                     raise ConfigError(f"unknown key '{cut(f'{key_path}.{name}')}'")
-                merged[name] = _coerce(typing.get_args(hint)[1], x, f"{key_path}.{name}")
-        else:
-            kwargs[f.name] = _coerce(hint, value, key_path)
+                merged[name] = x
+        else:  # checked, and made canonical, by the field's domain
+            kwargs[f.name] = value
     try:
         return cls(**kwargs)
     except DomainError as exc:  # named by its field: name its key path

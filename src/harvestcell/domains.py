@@ -1,10 +1,17 @@
-"""Each setting's domain, declared once in its field's annotation, and the one
-check of them. `r: Positive = 20.0` declares r finite and > 0; without
-`include_extras`, `typing.get_type_hints` drops the domain, so the config
-loader still coerces by the plain type. A `Literal` declares a few strings.
-A `Checked` dataclass checks each declared field on construction, a tuple's
-elements and a dict's values too, before its own checks between fields, and
-raises a DomainError `'<field>' must be <domain>, got <value>`.
+"""Each setting's domain, declared once in its field's annotation, and the
+one check of every value against it. `r: Positive = 20.0` declares r finite
+and > 0; without `include_extras`, `typing.get_type_hints` drops the domain,
+which leaves the config loader the plain type to map YAML structure by. A
+`Literal` declares a few strings.
+
+A `Checked` dataclass checks each declared field on construction, a fixed
+tuple's length and elements and a dict's values too, before its own checks
+between fields, and raises a DomainError `'<field>' must be <domain>, got
+<value>`. It stores each value in its domain's canonical form: a real as a
+`float`, an integer as an `int`, a vector or a unit quaternion as a float
+ndarray, a direction divided by its norm, a fixed tuple as a tuple, a dict
+as a new dict. The config loader maps YAML structure only: no other code
+checks a setting's type or range.
 """
 
 from __future__ import annotations
@@ -43,9 +50,13 @@ def shown(value) -> str:
     return cut(_ECHO.repr(value))
 
 
+# Each domain's `canon(x)` returns x in its canonical form, or None when x
+# lies outside the domain.
+
 class Interval(NamedTuple):
-    """Numbers (not bools) from lo to hi, each end closed unless open; with
-    `integer`, ints and numpy integers only. The default hi makes it finite."""
+    """Numbers (not bools) from lo to hi, each end closed unless open, as a
+    float; with `integer`, ints and numpy integers only, as an int. The
+    default hi makes it finite."""
 
     lo: float
     hi: float = FLOAT_MAX
@@ -53,12 +64,16 @@ class Interval(NamedTuple):
     hi_open: bool = False
     integer: bool = False
 
-    def holds(self, x) -> bool:  # NaN fails every comparison
+    def canon(self, x):  # NaN fails every comparison
         lo, hi, lo_open, hi_open, integer = self
-        return (isinstance(x, _INTS if integer else _REALS)
-                and not isinstance(x, bool)
+        kind = int if integer else float
+        exact = type(x) is kind  # the common case, without the isinstance tests
+        if ((exact or isinstance(x, _INTS if integer else _REALS)
+                and not isinstance(x, bool))
                 and (lo < x if lo_open else lo <= x)
-                and (x < hi if hi_open else x <= hi))
+                and (x < hi if hi_open else x <= hi)):
+            return x if exact else kind(x)
+        return None
 
     def __str__(self) -> str:
         if self.integer:
@@ -71,68 +86,114 @@ class Interval(NamedTuple):
         return "finite"
 
 
-class Vector(NamedTuple):
-    size: int
+FINITE = Interval(-FLOAT_MAX)
 
-    def holds(self, v) -> bool:
+
+class Vector(NamedTuple):
+    """Lists, tuples or 1-D arrays of `size` finite numbers (not bools), as
+    a float ndarray; with `direction`, nonzero ones whose norm does not
+    overflow, divided by it."""
+
+    size: int
+    direction: bool = False
+
+    def canon(self, v):
+        if isinstance(v, np.ndarray):  # no bools or strings in these dtypes
+            # math.isfinite per element costs a quarter of np.isfinite(...).all()
+            ok = (v.dtype.kind in "fiu" and v.shape == (self.size,)
+                  and all(map(math.isfinite, v.tolist())))
+        else:
+            ok = (isinstance(v, (list, tuple)) and len(v) == self.size
+                  and all(FINITE.canon(x) is not None for x in v))
+        if not ok:
+            return None
         v = np.asarray(v, dtype=float)
-        # math.isfinite per element costs a quarter of np.isfinite(...).all()
-        return v.shape == (self.size,) and all(map(math.isfinite, v.tolist()))
+        if not self.direction:
+            return v
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected
+            norm = np.linalg.norm(v)
+        return v / norm if 0.0 < norm < math.inf else None
 
     def __str__(self) -> str:
-        return f"a finite {self.size}-vector"
+        return f"a {'nonzero ' * self.direction}finite {self.size}-vector"
 
 
-FINITE = Interval(-FLOAT_MAX)
+class UnitQuaternion:
+    """Finite 4-vectors (x, y, z, w) with |q|^2 within 1e-9 of 1, as a float
+    ndarray, not normalised: the test `arm.quat_to_matrix` applies."""
+
+    def canon(self, q):
+        q = Vector(4).canon(q)
+        if q is None:
+            return None
+        x, y, z, w = q.tolist()  # Python floats overflow to inf silently
+        return q if abs(x * x + y * y + z * z + w * w - 1.0) <= 1e-9 else None
+
+    def __str__(self) -> str:
+        return "a unit quaternion, |q|^2 within 1e-9 of 1"
+
+
+UNIT_QUATERNION = UnitQuaternion()
 Finite = Annotated[float, FINITE]
 Positive = Annotated[float, Interval(0.0, lo_open=True)]
 NonNegative = Annotated[float, Interval(0.0)]
-Natural = Annotated[int, Interval(0, math.inf, integer=True)]
-Count = Annotated[int, Interval(1, math.inf, integer=True)]
+Natural = Annotated[int, Interval(0, integer=True)]
+Count = Annotated[int, Interval(1, integer=True)]
 Vec3 = Annotated[np.ndarray, Vector(3)]
+Quaternion = Annotated[np.ndarray, UNIT_QUATERNION]
 
 
 class Checked:
     """Base of a settings dataclass whose fields declare their domains."""
 
     def __post_init__(self):
-        for name, check in _checks(type(self)):
-            check(name, getattr(self, name))
+        for name, canon, domain in _checks(type(self)):
+            value = getattr(self, name)
+            try:
+                canonical = canon(value)
+            except DomainError as exc:  # an item of a tuple or dict
+                raise DomainError(name + exc.key, exc.domain, exc.shown) from None
+            if canonical is not value:
+                if canonical is None:
+                    raise DomainError(name, domain, shown(value))
+                object.__setattr__(self, name, canonical)
 
 
 @functools.cache
 def _checks(cls) -> tuple:
     hints = typing.get_type_hints(cls, include_extras=True)
-    return tuple((f.name, check) for f in dataclasses.fields(cls)
-                 if (check := _compile(hints[f.name])))
+    return tuple((f.name, *compiled) for f in dataclasses.fields(cls)
+                 if (compiled := _compile(hints[f.name])))
 
 
 def _compile(hint):
-    """check(name, value) for an annotation; None if it declares no domain."""
+    """(canon, domain text) for an annotation; None if it declares no domain.
+    The canon of a fixed tuple or a dict raises a DomainError naming the
+    item outside its domain: `[1]`, `.cut`."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Annotated:
         domain = hint.__metadata__[0]
-        holds = domain.holds
+        return domain.canon, str(domain)
+    if origin is Literal:
+        return ((lambda x: x if isinstance(x, str) and x in args else None),
+                "one of " + ", ".join(map(repr, args)))
+    if origin is tuple and all(items := [_compile(arg) for arg in args]):
 
-        def check(name, value):
-            if not holds(value):
-                raise DomainError(name, str(domain), shown(value))
-    elif origin is Literal:
+        def canon(x):
+            if not (isinstance(x, (list, tuple)) and len(x) == len(items)):
+                return None
+            return tuple(_item(f"[{i}]", item, value)
+                         for i, (item, value) in enumerate(zip(items, x)))
+        return canon, f"a list of {len(items)}"
+    if origin is dict and (item := _compile(args[1])):
+        return (lambda x: {key: _item(f".{key}", item, value)
+                           for key, value in x.items()}), "a mapping"
+    return None
 
-        def check(name, value):
-            if not (isinstance(value, str) and value in args):
-                raise DomainError(name, "one of " + ", ".join(map(repr, args)),
-                                  shown(value))
-    elif origin is tuple and all(items := [_compile(arg) for arg in args]):
 
-        def check(name, value):
-            for i, (item, x) in enumerate(zip(items, value)):
-                item(f"{name}[{i}]", x)
-    elif origin is dict and (item := _compile(args[1])):
-
-        def check(name, value):
-            for key, x in value.items():
-                item(f"{name}.{key}", x)
-    else:
-        return None
-    return check
+def _item(key: str, compiled, x):
+    canon, domain = compiled
+    canonical = canon(x)
+    if canonical is None:
+        raise DomainError(key, domain, shown(x))
+    return canonical

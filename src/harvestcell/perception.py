@@ -13,15 +13,14 @@ metres (depth_scale 1.0 for this format).
 from __future__ import annotations
 
 import json
-import math
 import struct
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arm import quat_to_matrix
-from .domains import Checked, Count, Finite, Positive, Vec3
+from .domains import (FINITE, Checked, Count, Finite, Interval, Positive,
+                      Quaternion, Vec3, shown)
 from .errors import (ConfigError, InvalidDepth, LowConfidence, NoRipeTarget,
                      NoValidDepth, ParseError, ValidationError)
 
@@ -31,6 +30,7 @@ DEPTH_MAGIC = b"DPTH"
 DEFAULT_CONFIDENCE_THRESHOLD = 0.5
 # half-width in pixels of the depth neighborhood a keypoint is lifted from
 DEPTH_WINDOW = 2
+_FRACTION = Interval(0.0, 1.0)  # a score or a keypoint confidence
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class CameraModel(Checked):
     cy: Finite = 360.0
     width: Count = 1280
     height: Count = 720
-    extrinsic_quaternion: np.ndarray = field(
+    extrinsic_quaternion: Quaternion = field(
         default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
     extrinsic_translation: Vec3 = field(
         default_factory=lambda: np.zeros(3))
@@ -72,13 +72,9 @@ class CameraModel(Checked):
         super().__post_init__()
         if not (0.0 < self.cx < self.width and 0.0 < self.cy < self.height):
             raise ConfigError("principal point must lie inside the image")
-        with np.errstate(over="ignore"):  # an overflowing norm fails below
-            n = float(np.linalg.norm(np.asarray(self.extrinsic_quaternion, dtype=float)))
-        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
-            raise ConfigError("extrinsic quaternion must have unit norm")
 
     def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(np.asarray(self.extrinsic_quaternion, dtype=float))
+        return quat_to_matrix(self.extrinsic_quaternion)
 
 
 @dataclass(frozen=True)
@@ -108,15 +104,10 @@ class TargetTomato:
                                   "pedicel coincides with the tomato center")
 
 
-def _require_number(value, field_name, index, lo=None, hi=None) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(field_name, index, f"expected a number, got {value!r}")
-    # compared before converting: float() of an int past the range overflows
-    x = float(value) if abs(value) <= sys.float_info.max else math.inf
-    if not np.isfinite(x):
-        raise ValidationError(field_name, index, "must be finite")
-    if lo is not None and x < lo or hi is not None and x > hi:
-        raise ValidationError(field_name, index, f"{x!r} outside [{lo}, {hi}]")
+def _require_number(value, field_name, index, domain=FINITE) -> float:
+    x = domain.canon(value)
+    if x is None:
+        raise ValidationError(field_name, index, f"must be {domain}, got {shown(value)}")
     return x
 
 
@@ -126,7 +117,7 @@ def _parse_keypoint(raw, name, index, image_size) -> Keypoint:
                               "expected [u, v, confidence]")
     u = _require_number(raw[0], f"keypoints.{name}[0]", index)
     v = _require_number(raw[1], f"keypoints.{name}[1]", index)
-    conf = _require_number(raw[2], f"keypoints.{name}[2]", index, 0.0, 1.0)
+    conf = _require_number(raw[2], f"keypoints.{name}[2]", index, _FRACTION)
     if image_size is not None:
         width, height = image_size
         if not (0.0 <= u < width and 0.0 <= v < height):
@@ -148,7 +139,7 @@ def _parse_record(raw, index, image_size) -> DetectionRecord:
     if label not in RIPENESS_CLASSES:
         raise ValidationError("class", index,
                               f"expected one of {RIPENESS_CLASSES}, got {label!r}")
-    score = _require_number(raw.get("score"), "score", index, 0.0, 1.0)
+    score = _require_number(raw.get("score"), "score", index, _FRACTION)
     bbox_raw = raw.get("bbox")
     if not isinstance(bbox_raw, (list, tuple)) or len(bbox_raw) != 4:
         raise ValidationError("bbox", index, "expected [u_min, v_min, u_max, v_max]")
@@ -272,7 +263,7 @@ def camera_to_pixel(cam: CameraModel, p_cam: np.ndarray) -> tuple[float, float]:
 def camera_to_base(cam: CameraModel, p_cam) -> np.ndarray:
     """Transform a camera-frame point into the robot base frame."""
     return cam.rotation_matrix() @ np.asarray(p_cam, dtype=float) \
-        + np.asarray(cam.extrinsic_translation, dtype=float)
+        + cam.extrinsic_translation
 
 
 def sample_depth(depth_frame: np.ndarray, u: float, v: float,

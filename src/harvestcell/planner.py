@@ -68,7 +68,6 @@ feasible, not optimized. By default the loop runs every iteration.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Annotated, Literal, NamedTuple
 
@@ -103,7 +102,7 @@ class Capsule(Checked):
 
 
 @dataclass(frozen=True)
-class Scene:
+class Scene(Checked):
     """Obstacle set the arm must avoid."""
 
     spheres: tuple[Sphere, ...] = ()
@@ -120,7 +119,7 @@ class Scene:
             raise ValueError(f"point must be finite, got {point.tolist()}")
         kept = tuple(
             s for s in self.spheres
-            if np.linalg.norm(np.asarray(s.center, dtype=float) - point) > s.radius
+            if np.linalg.norm(s.center - point) > s.radius
         )
         return Scene(spheres=kept, capsules=self.capsules)
 
@@ -135,7 +134,7 @@ class PsoConfig(Checked):
     plain `clearance`.
     """
 
-    swarm_size: Annotated[int, Interval(2, math.inf, integer=True)] = 30
+    swarm_size: Annotated[int, Interval(2, integer=True)] = 30
     iterations: Count = 150
     inertia: Annotated[float, Interval(0.0, 1.0)] = 0.7
     cognitive: NonNegative = 1.5
@@ -212,9 +211,9 @@ def _scene_arrays(chain: KinematicChain, *scenes: Scene) -> _SceneArrays | None:
     capsules = _distinct(c for scene in scenes for c in scene.capsules)
     if not spheres and not capsules:
         return None
-    centers = [np.asarray(s.center, dtype=float) for s in spheres]
-    core_a = np.array(centers + [c.p0 for c in capsules], dtype=float)
-    core_b = np.array(centers + [c.p1 for c in capsules], dtype=float)
+    centers = [s.center for s in spheres]
+    core_a = np.array(centers + [c.p0 for c in capsules])
+    core_b = np.array(centers + [c.p1 for c in capsules])
     radii = np.array([s.radius for s in spheres]
                      + [c.radius for c in capsules], dtype=float)
     seen = [{id(o) for o in (*scene.spheres, *scene.capsules)} for scene in scenes]

@@ -343,6 +343,7 @@ def test_ik_options_reject_bad_values(field, value):
     pytest.param([np.nan, 0.0, 1.0], id="nan"),
     pytest.param([np.inf, 0.0, 1.0], id="inf"),
     pytest.param([0.0, 1.0], id="short"),
+    pytest.param([1e300, 1e300, 0.0], id="overflowing-norm"),
 ])
 def test_solve_ik_point_rejects_bad_approach_axis(run_config, axis):
     chain = run_config.arm

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harvestcell import cli, config, harvest, mechanism
+from harvestcell import cli, config, harvest, mechanism, perception
 from harvestcell.config import default_config_path
 from harvestcell.errors import ParseError, ValidationError
 from harvestcell.perception import (DEPTH_MAGIC, load_depth_frame,
@@ -148,6 +148,26 @@ def test_pick_stats_non_positive_depth_scale_names_the_key(tmp_path, capsys,
     assert not out.exists()
     assert not (tmp_path / "stats.trials.csv").exists()
     assert "'camera.depth_scale' must be finite and > 0" in (
+        _assert_one_line_error(capsys))
+
+
+def test_pick_stats_off_unit_camera_quaternion_fails_at_load(tmp_path, capsys,
+                                                            detection_fixture):
+    # |q| is within 1e-9 of 1, |q|^2 is not: the camera's rotation matrix
+    # cannot be built, so the config must not load
+    raw = _shipped_raw()
+    raw["camera"]["extrinsics"]["quaternion_xyzw"] = [0.5, -0.5, 0.5, -0.5000000014]
+    cfg = tmp_path / "quaternion.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    det, depth = detection_fixture
+    out = tmp_path / "stats.json"
+    code = cli.main(["--quiet", "--config", str(cfg), "--out", str(out),
+                     "pick-stats", "--detections", str(det),
+                     "--depth", str(depth)])
+    assert code == 1
+    assert not out.exists()
+    assert not (tmp_path / "stats.trials.csv").exists()
+    assert "'camera.extrinsics.quaternion_xyzw' must be a unit quaternion" in (
         _assert_one_line_error(capsys))
 
 
@@ -495,7 +515,7 @@ def test_invalid_config_produces_no_output(tmp_path):
                  {"min": [-0.8, -0.8, 0.0], "max": [0.8, 0.8, 1.0]},
                  "unknown key 'scene.workspace_bounds'", id="workspace-bounds"),
     pytest.param("arm", "tool_offset", {"quaternion_xyzw": [1, 1, 0, 0]},
-                 "'arm.tool_offset'", id="non-unit-quaternion"),
+                 "'arm.tool_offset.quaternion_xyzw'", id="non-unit-quaternion"),
 ])
 def test_malformed_config_fails_with_one_line(tmp_path, capsys, section, key,
                                               value, key_path):
@@ -509,6 +529,16 @@ def test_malformed_config_fails_with_one_line(tmp_path, capsys, section, key,
     assert code == 1
     assert not out.exists()
     assert key_path in _assert_one_line_error(capsys)
+
+
+def test_policy_choices_are_the_selection_policies(monkeypatch):
+    # the parser reads perception's list, so a policy added there is offered
+    monkeypatch.setattr(perception, "SELECTION_POLICIES",
+                        (*perception.SELECTION_POLICIES, "nearest"))
+    args = cli.build_parser().parse_args(
+        ["pick-stats", "--detections", "d.json", "--depth", "d.bin",
+         "--policy", "nearest"])
+    assert args.policy == "nearest"
 
 
 def test_help_lists_subcommands(capsys):

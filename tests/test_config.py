@@ -11,22 +11,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harvestcell import config
-from harvestcell.arm import IkOptions
+from harvestcell.arm import IkOptions, Joint, KinematicChain, Pose, RigidTransform
 from harvestcell.config import (RunConfig, default_config_path, load_config,
                                 parse_config)
-from harvestcell.domains import FINITE, FLOAT_MAX, Interval, Vector
+from harvestcell.domains import (FINITE, FLOAT_MAX, Checked, Interval,
+                                 UnitQuaternion, Vector)
 from harvestcell.errors import ConfigError, DomainError
 from harvestcell.harvest import PickCycleConfig
 from harvestcell.mechanism import MechanismParams
 from harvestcell.perception import CameraModel
-from harvestcell.planner import Capsule, PsoConfig, Sphere
+from harvestcell.planner import Capsule, PsoConfig, Scene, Sphere
 
-# the settings dataclasses whose fields declare their domains, by the config
-# section that holds one of them, and all seven (IkOptions is not loaded)
-_SECTIONS = {"mechanism": MechanismParams, "camera": CameraModel,
-             "pso": PsoConfig, "pick_cycle": PickCycleConfig,
-             "scene.spheres[0]": Sphere, "scene.capsules[0]": Capsule}
-_CHECKED = (*_SECTIONS.values(), IkOptions)
+
+def _sections(cls, path=""):
+    """(config section, dataclass) for every dataclass that the fields of
+    `cls` reach: a dataclass field, or the first item of a tuple of them."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint, key = hints[f.name], path + f.name
+        if typing.get_origin(hint) is tuple:
+            hint, key = typing.get_args(hint)[0], key + "[0]"
+        if dataclasses.is_dataclass(hint):
+            yield key, hint
+            yield from _sections(hint, key + ".")
+
+
+# the settings dataclasses, by the config section that holds one of them, and
+# every class whose fields declare their domains (IkOptions and Pose are not
+# loaded)
+_SECTIONS = dict(_sections(RunConfig))
+_CHECKED = (*dict.fromkeys(_SECTIONS.values()), IkOptions, Pose)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +101,11 @@ def _non_unit_tool_quaternion(raw):
     raw["arm"]["tool_offset"]["quaternion_xyzw"] = [1, 1, 0, 0]
 
 
+def _off_unit_camera_quaternion(raw):
+    # |q| is within 1e-9 of 1, |q|^2 is not
+    raw["camera"]["extrinsics"]["quaternion_xyzw"] = [0.5, -0.5, 0.5, -0.5000000014]
+
+
 def _put(section, key, value):
     """Mutator that sets `section.key`; the section may be absent from the
     shipped document, whose omitted keys take the dataclass defaults."""
@@ -144,8 +163,13 @@ def _put(section, key, value):
     pytest.param(_put("pick_cycle", "stage_time_means", {"cut": 0}),
                  "'pick_cycle.stage_time_means.cut' must be in (0, 1e+100]",
                  id="zero-stage-mean"),
-    pytest.param(_non_unit_tool_quaternion, "'arm.tool_offset'",
+    pytest.param(_non_unit_tool_quaternion, "'arm.tool_offset.quaternion_xyzw'",
                  id="non-unit-quaternion"),
+    pytest.param(_off_unit_camera_quaternion,
+                 "'camera.extrinsics.quaternion_xyzw' must be a unit quaternion",
+                 id="off-unit-camera-quaternion"),
+    pytest.param(_put("pso", "iterations", 30.0),
+                 "'pso.iterations' must be an integer >= 1", id="float-iterations"),
 ])
 def test_malformed_config_names_key_path(shipped_raw, mutate, key_path):
     raw = copy.deepcopy(shipped_raw)
@@ -331,8 +355,12 @@ def test_shallow_config_with_many_indicators_loads(tmp_path):
     assert repr(load_config(path)) == repr(load_config(default_config_path()))
 
 
-_OBSTACLE = {Sphere: {"center": np.zeros(3), "radius": 0.03},
-             Capsule: {"p0": np.zeros(3), "p1": np.ones(3), "radius": 0.01}}
+_Z_JOINT = {"axis": [0.0, 0.0, 1.0], "offset": np.zeros(3), "limits": (-1.0, 1.0)}
+# the required fields of each class
+_REQUIRED = {Sphere: {"center": np.zeros(3), "radius": 0.03},
+             Capsule: {"p0": np.zeros(3), "p1": np.ones(3), "radius": 0.01},
+             Joint: _Z_JOINT, KinematicChain: {"joints": (Joint(**_Z_JOINT),)},
+             Pose: {"position": np.zeros(3), "orientation": [0.0, 0.0, 0.0, 1.0]}}
 
 
 @pytest.mark.parametrize("cls, field, value", [
@@ -350,10 +378,56 @@ _OBSTACLE = {Sphere: {"center": np.zeros(3), "radius": 0.03},
     (Sphere, "center", [math.nan] * 3),
     (Sphere, "tag", "tomatoe"),
     (Capsule, "tag", "stems"),
+    (Sphere, "center", ["a", 0, 0]),
+    (Sphere, "center", ["1", "2", "3"]),
+    (Sphere, "center", [True, 0, 0]),
+    (Sphere, "center", np.zeros((3, 1))),
+    (PsoConfig, "iterations", 10**400),
+    (Joint, "axis", [0.0, 0.0, 0.0]),
+    (Joint, "axis", [1e300, 1e300, 0.0]),
+    (KinematicChain, "approach_axis", [math.nan, 0.0, 1.0]),
+    (KinematicChain, "home_q", [0.0, 0.0]),
+    (KinematicChain, "home_q", [2.0]),
+    (RigidTransform, "quaternion", [0.0, 0.0, 0.0, 1.0 + 1e-9]),
+    (CameraModel, "extrinsic_quaternion", [0.5, -0.5, 0.5, -0.5000000014]),
+    (Pose, "orientation", [0.0, 0.0, 0.0]),
 ])
 def test_out_of_domain_setting_rejected_on_construction(cls, field, value):
-    with pytest.raises(ConfigError, match=rf"^'{field}' must be "):
-        cls(**{**_OBSTACLE.get(cls, {}), field: value})
+    with pytest.raises(DomainError, match=rf"^'{field}' must be "):
+        cls(**{**_REQUIRED.get(cls, {}), field: value})
+
+
+@pytest.mark.parametrize("make, key", [
+    pytest.param(lambda: MechanismParams(theta_range=(0.0,)), "theta_range",
+                 id="short-theta-range"),
+    pytest.param(lambda: MechanismParams(theta_range=[0.0, 60.0, 120.0]),
+                 "theta_range", id="long-theta-range"),
+    pytest.param(lambda: Joint(**{**_Z_JOINT, "limits": (-math.inf, 1.0)}),
+                 "limits[0]", id="infinite-limit"),
+    pytest.param(lambda: Joint(**{**_Z_JOINT, "limits": 1.0}), "limits",
+                 id="scalar-limits"),
+])
+def test_fixed_tuple_setting_checks_length_and_items(make, key):
+    with pytest.raises(DomainError) as exc_info:
+        make()
+    assert exc_info.value.key == key
+
+
+def test_checked_setting_stores_canonical_values():
+    pso = PsoConfig(seed=np.int64(3), inertia=1)
+    assert type(pso.seed) is int and type(pso.inertia) is float
+    sphere = Sphere(center=[1, 2, 3], radius=1)
+    assert sphere.center.dtype == float and sphere.center.tolist() == [1.0, 2.0, 3.0]
+    assert MechanismParams(theta_range=[0, 120]).theta_range == (0.0, 120.0)
+    # a direction of any nonzero length is stored as v / |v|
+    chain = KinematicChain(joints=(Joint(**{**_Z_JOINT, "axis": [0, 0, 2]}),),
+                           approach_axis=np.array([3.0, 4.0, 0.0]), home_q=[0])
+    assert chain.joints[0].axis.tolist() == [0.0, 0.0, 1.0]
+    assert chain.approach_axis.tolist() == [0.6, 0.8, 0.0]
+    assert chain.home_q.dtype == float
+    # a quaternion is checked, not normalised
+    quaternion = [0.0, 0.0, 0.0, 1.0 + 4e-10]
+    assert RigidTransform(quaternion=quaternion).quaternion.tolist() == quaternion
 
 
 def _declarations(cls):
@@ -363,11 +437,19 @@ def _declarations(cls):
     return [(f.name, full[f.name], plain[f.name]) for f in dataclasses.fields(cls)]
 
 
+# numeric fields checked where they are used: IK checks a target's position
+# and raises ValueError for a non-finite one
+_UNDECLARED = {(Pose, "position")}
+
+
 @pytest.mark.parametrize("cls", _CHECKED, ids=lambda c: c.__name__)
 def test_every_numeric_setting_declares_its_domain(cls):
+    assert issubclass(cls, Checked)
     declared = 0
     for name, full, plain in _declarations(cls):
-        if plain in (float, int):
+        if (cls, name) in _UNDECLARED:
+            continue
+        if plain in (float, int, np.ndarray):
             parts = [full]
         elif typing.get_origin(plain) in (tuple, dict):
             parts = [arg for arg, kind in zip(typing.get_args(full),
@@ -378,13 +460,15 @@ def test_every_numeric_setting_declares_its_domain(cls):
         for part in parts:
             assert typing.get_origin(part) is typing.Annotated, name
             declared += 1
-    assert declared
+    assert declared or cls is Scene  # a scene only groups obstacles
 
 
 def _leaves(shipped):
-    """(key path, setter, domain) of each declared leaf that the loader
-    reaches: a scalar field, a tuple or vector element, a dict value, or a
-    choice among strings (the domain is then the tuple of choices)."""
+    """(key path, key path an error names, setter, domain) of each declared
+    leaf that the loader reaches: a scalar field, a direction or quaternion,
+    an element of a tuple or vector (an error names the whole vector), a
+    dict value, or a choice among strings (the domain is then the tuple of
+    choices)."""
     parsed = parse_config(shipped)
     for section, cls in _SECTIONS.items():
         obj = parsed
@@ -397,20 +481,23 @@ def _leaves(shipped):
             origin, args = typing.get_origin(full), typing.get_args(full)
             current = getattr(obj, name)
             if origin is typing.Literal:
-                yield path, _setter(section, key), args
-            elif origin is typing.Annotated and isinstance(args[1], Vector):
+                yield path, path, _setter(section, key), args
+            elif (origin is typing.Annotated and isinstance(args[1], Vector)
+                  and not args[1].direction):
                 for i in range(args[1].size):
-                    yield (f"{path}[{i}]",
+                    yield (f"{path}[{i}]", path,
                            _setter(section, key, current.tolist(), i), FINITE)
             elif origin is typing.Annotated:
-                yield path, _setter(section, key), args[1]
-            elif origin is tuple:
+                yield path, path, _setter(section, key), args[1]
+            elif origin is tuple and typing.get_origin(args[0]) is typing.Annotated:
                 for i, item in enumerate(args):
-                    yield (f"{path}[{i}]", _setter(section, key, list(current), i),
+                    yield (f"{path}[{i}]", f"{path}[{i}]",
+                           _setter(section, key, list(current), i),
                            typing.get_args(item)[1])
             elif origin is dict:
                 for stage in current:
-                    yield (f"{path}.{stage}", _setter(section, key, {}, stage),
+                    yield (f"{path}.{stage}", f"{path}.{stage}",
+                           _setter(section, key, {}, stage),
                            typing.get_args(args[1])[1])
 
 
@@ -439,7 +526,18 @@ with open(default_config_path(), "r", encoding="utf-8") as _fh:
     _DECLARED_LEAVES = list(_leaves(yaml.safe_load(_fh)))
 
 
+def _vectors(size, elements=st.floats(-1.0, 1.0)):
+    return st.lists(elements, min_size=size, max_size=size)
+
+
 def _inside(domain):
+    if isinstance(domain, Vector):  # a direction
+        magnitudes = st.floats(1e-100, 1e100)
+        return _vectors(domain.size, st.one_of(
+            st.just(0.0), magnitudes, magnitudes.map(lambda x: -x))).filter(any)
+    if isinstance(domain, UnitQuaternion):
+        return _vectors(4).filter(lambda q: np.linalg.norm(q) > 0.1).map(
+            lambda q: (np.array(q) / np.linalg.norm(q)).tolist())
     if not isinstance(domain, Interval):
         return st.sampled_from(domain)
     if domain.integer:
@@ -449,7 +547,30 @@ def _inside(domain):
     return st.floats(lo, hi)
 
 
+def _outside_vector(size, invalid):
+    """Not a list, a list of another length, one element that is not a
+    finite number, or one of the vectors `invalid` of the right length."""
+    def spoil(spoiler):
+        index, bad = spoiler
+        vector = [0.0] * (size - 1) + [1.0]
+        vector[index] = bad
+        return vector
+    return st.one_of(
+        st.floats(), st.text(max_size=3),
+        st.lists(st.floats(-1.0, 1.0), max_size=size + 2).filter(
+            lambda v: len(v) != size),
+        st.tuples(st.integers(0, size - 1), st.sampled_from(
+            [math.nan, math.inf, -math.inf, True, "1", None])).map(spoil),
+        st.sampled_from(invalid))
+
+
 def _outside(domain):
+    if isinstance(domain, Vector):  # a direction
+        return _outside_vector(domain.size, [[0.0] * domain.size,
+                                             [1e300] * domain.size])
+    if isinstance(domain, UnitQuaternion):
+        return _outside_vector(4, [[0.0] * 4, [0.0, 0.0, 0.0, 1.0 + 2e-9],
+                                   [0.5, -0.5, 0.5, -0.5000000014], [1.0] * 4])
     if not isinstance(domain, Interval):
         return st.one_of(st.integers(), st.text(max_size=8).filter(
             lambda text: text not in domain))
@@ -467,35 +588,41 @@ def _outside(domain):
 
 
 # keys an in-domain value of which can still fail a check between fields:
-# theta_range order and the principal point inside the image
+# theta_range and joint limit order, the principal point inside the image,
+# and home_q within the joint limits
 _CROSS_FIELD = {"mechanism.theta_range_deg[0]", "mechanism.theta_range_deg[1]",
-                "camera.cx", "camera.cy", "camera.width", "camera.height"}
+                "camera.cx", "camera.cy", "camera.width", "camera.height",
+                "arm.joints[0].limits[0]", "arm.joints[0].limits[1]"}
 
 
-@pytest.mark.parametrize("path, put, domain", _DECLARED_LEAVES,
-                         ids=[path for path, _, _ in _DECLARED_LEAVES])
+@pytest.mark.parametrize("path, key, put, domain", _DECLARED_LEAVES,
+                         ids=[path for path, _, _, _ in _DECLARED_LEAVES])
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_declared_domain_bounds_what_the_loader_accepts(
-        shipped_raw, path, put, domain, data):
+        shipped_raw, path, key, put, domain, data):
     raw = copy.deepcopy(shipped_raw)
     put(raw, data.draw(_inside(domain), label="inside"))
     try:
         assert isinstance(parse_config(raw), RunConfig)
     except ConfigError as exc:  # only a check between fields may fail
-        assert path in _CROSS_FIELD and not isinstance(exc, DomainError), exc
+        assert path in _CROSS_FIELD, exc
+        assert not isinstance(exc, DomainError) or exc.key == "arm.home_q", exc
     raw = copy.deepcopy(shipped_raw)
     put(raw, data.draw(_outside(domain), label="outside"))
     with pytest.raises(ConfigError) as exc_info:
         parse_config(raw)
     message = str(exc_info.value)
-    assert "\n" not in message and message.startswith(f"'{path}' must be ")
+    assert "\n" not in message and message.startswith(f"'{key}' must be ")
 
 
 def test_declared_leaves_cover_every_section():
-    paths = [path for path, _, _ in _DECLARED_LEAVES]
+    paths = [path for path, _, _, _ in _DECLARED_LEAVES]
     assert len(paths) == len(set(paths))
     for section in _SECTIONS:
         assert any(path.startswith(section + ".") for path in paths), section
     assert {"pick_cycle.stage_time_means.cut", "camera.extrinsics.translation[2]",
-            "scene.spheres[0].tag", "mechanism.theta_range_deg[1]"} <= set(paths)
+            "scene.spheres[0].tag", "mechanism.theta_range_deg[1]",
+            "camera.extrinsics.quaternion_xyzw", "arm.joints[0].axis",
+            "arm.joints[0].limits[1]", "arm.approach_axis",
+            "arm.base_frame.quaternion_xyzw"} <= set(paths)
