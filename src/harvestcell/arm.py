@@ -77,7 +77,8 @@ class RigidTransform(Checked):
     translation: Vec3 = field(
         default_factory=lambda: np.zeros(3))
     quaternion: Quaternion = field(
-        default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
+        default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]),
+        metadata={"key": "quaternion_xyzw"})
 
     def matrix(self) -> np.ndarray:
         return quat_to_matrix(self.quaternion)

@@ -233,14 +233,6 @@ def _companion_csv_path(out_path: str) -> str:
     return out_path + ".trials.csv"
 
 
-_DEFAULT_OUT = {
-    "torque-curve": "torque_curve.csv",
-    "solve-mechanism": "mechanism_sweep.csv",
-    "plan": "trajectory.json",
-    "pick-stats": "pick_stats.json",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="harvestcell",
@@ -266,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum grasp force, N")
     p.add_argument("--steps", type=int, default=21, help="number of force samples")
     p.add_argument("--branch", choices=mechanism.BRANCHES, default="elbow_up")
+    p.set_defaults(run=cmd_torque_curve, default_out="torque_curve.csv")
 
     p = sub.add_parser("solve-mechanism",
                        help="CSV sweep of the finger linkage position solution")
@@ -273,12 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--end", type=float, default=None, help="sweep end, deg")
     p.add_argument("--step", type=float, default=1.0, help="sweep step, deg")
     p.add_argument("--branch", choices=mechanism.BRANCHES, default="elbow_up")
+    p.set_defaults(run=cmd_solve_mechanism, default_out="mechanism_sweep.csv")
 
     p = sub.add_parser("plan", help="PSO trajectory plan between joint vectors")
     p.add_argument("--start", default=None,
                    help="comma-separated joint values, rad (default: home_q)")
     p.add_argument("--goal", required=True,
                    help="comma-separated joint values, rad")
+    p.set_defaults(run=cmd_plan, default_out="trajectory.json")
 
     p = sub.add_parser("pick-stats",
                        help="Monte Carlo pick-cycle statistics from detection files")
@@ -287,15 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--policy", choices=perception.SELECTION_POLICIES,
                    default="ripest-nearest")
+    p.set_defaults(run=cmd_pick_stats, default_out="pick_stats.json")
     return parser
-
-
-_COMMANDS = {
-    "torque-curve": cmd_torque_curve,
-    "solve-mechanism": cmd_solve_mechanism,
-    "plan": cmd_plan,
-    "pick-stats": cmd_pick_stats,
-}
 
 
 def main(argv=None) -> int:
@@ -307,10 +295,10 @@ def main(argv=None) -> int:
         elif not args.quiet:
             print(message)
 
-    out_path = args.out or _DEFAULT_OUT[args.command]
+    out_path = args.out or args.default_out
     try:
         config = load_config(args.config) if args.config else load_default_config()
-        return _COMMANDS[args.command](config, args, out_path, say)
+        return args.run(config, args, out_path, say)
     except InfeasibleEndpoints as exc:
         say(str(exc), error=True)
         return EXIT_INFEASIBLE_ENDPOINTS

@@ -1,6 +1,7 @@
 """Single-file YAML configuration covering every module.
 
-The schema is the dataclass fields themselves: `parse_config` walks the
+The schema is the dataclass fields themselves: `parse_config` builds a
+`RunConfig` with `domains.load`, the one structure reader, which walks the
 fields of `RunConfig` and of the dataclasses nested in it and maps only the
 YAML structure: a mapping to a dataclass, a list of mappings to a tuple of
 them, the stage means onto their defaults. Every other value goes to its
@@ -12,7 +13,7 @@ for a value outside its domain: `'camera.depth_scale' must be finite and >
 0, got -1.0`. A failed check between fields names the section:
 `'mechanism': theta_range must satisfy min < max`. The mechanism is in
 mm/deg, the rest in m/rad unless a key says otherwise.
-YAML keys that differ from the field names:
+YAML keys that differ from the field names (each field's `key` metadata):
 
     mechanism.theta_range_deg          MechanismParams.theta_range
     <frame>.quaternion_xyzw            RigidTransform.quaternion
@@ -34,28 +35,19 @@ every schema error above.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import re
-import typing
 from importlib import resources
 
 import yaml
 
 from .arm import KinematicChain
-from .domains import cut, shown
-from .errors import ConfigError, DomainError
+from .domains import load
+from .errors import ConfigError
 from .harvest import PickCycleConfig
 from .mechanism import MechanismParams, check_assembly_range
 from .perception import CameraModel
 from .planner import PsoConfig, Scene
 
-# field name -> YAML key where they differ; a dotted key lies in a sub-mapping
-_YAML_KEYS = {
-    "theta_range": "theta_range_deg",
-    "quaternion": "quaternion_xyzw",
-    "extrinsic_translation": "extrinsics.translation",
-    "extrinsic_quaternion": "extrinsics.quaternion_xyzw",
-}
 # libyaml's scanner and parser when PyYAML was built with it, under the same
 # SafeConstructor and resolver as yaml.safe_load
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -76,72 +68,9 @@ class RunConfig:
     pick_cycle: PickCycleConfig
 
 
-@functools.cache
-def _schema(cls) -> dict:
-    """YAML key -> (field, annotation, whether required)."""
-    hints = typing.get_type_hints(cls)
-    schema = {}
-    for f in dataclasses.fields(cls):
-        required = (f.default is dataclasses.MISSING
-                    and f.default_factory is dataclasses.MISSING)
-        schema[_YAML_KEYS.get(f.name, f.name)] = (f, hints[f.name], required)
-    return schema
-
-
-def _mapping(raw, path: str) -> dict:
-    if not (raw is None or isinstance(raw, dict)):
-        raise DomainError(path, "a mapping", shown(raw))
-    return raw or {}
-
-
-def _load(cls, raw, path: str):
-    """Dataclass `cls` built from the mapping `raw` found at key path `path`."""
-    schema = _schema(cls)
-    prefix = f"{path}." if path else ""
-    raw = _mapping(raw, path or "config root")
-    flat = dict(raw)
-    for group in {key.split(".")[0] for key in schema if "." in key} & set(flat):
-        sub = _mapping(flat.pop(group), prefix + group)
-        flat.update((f"{group}.{name}", x) for name, x in sub.items())
-    for key in flat:
-        if key not in schema or key in raw and "." in key:  # dotted keys are internal
-            raise ConfigError(f"unknown key '{cut(f'{prefix}{key}')}'")
-    kwargs = {}
-    for key, (f, hint, required) in schema.items():
-        value, key_path = flat.get(key), prefix + key
-        if value is None and not required:
-            continue
-        if value is None and not dataclasses.is_dataclass(hint):
-            raise ConfigError(f"'{key_path}' is required")
-        origin, args = typing.get_origin(hint), typing.get_args(hint)
-        if dataclasses.is_dataclass(hint):
-            kwargs[f.name] = _load(hint, value, key_path)
-        elif origin is tuple and dataclasses.is_dataclass(args[0]):  # tuple[X, ...]
-            if not isinstance(value, list):
-                raise DomainError(key_path, "a list", shown(value))
-            kwargs[f.name] = tuple(_load(args[0], x, f"{key_path}[{i}]")
-                                   for i, x in enumerate(value))
-        elif origin is dict:  # the stage means: the defaults, updated
-            kwargs[f.name] = merged = f.default_factory()
-            for name, x in _mapping(value, key_path).items():
-                if name not in merged:
-                    raise ConfigError(f"unknown key '{cut(f'{key_path}.{name}')}'")
-                merged[name] = x
-        else:  # checked, and made canonical, by the field's domain
-            kwargs[f.name] = value
-    try:
-        return cls(**kwargs)
-    except DomainError as exc:  # named by its field: name its key path
-        name, item = re.match(r"(\w+)(.*)", exc.key).groups()
-        key = prefix + _YAML_KEYS.get(name, name) + item
-        raise DomainError(key, exc.domain, exc.shown) from None
-    except ConfigError as exc:
-        raise ConfigError(f"'{path}': {exc}") from None
-
-
 def parse_config(raw: dict) -> RunConfig:
     """Validate a parsed YAML document into a RunConfig."""
-    return _load(RunConfig, raw, "")
+    return load(RunConfig, raw, "")
 
 
 def _too_deep(text: str) -> bool:

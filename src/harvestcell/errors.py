@@ -14,8 +14,8 @@ class ConfigError(HarvestCellError):
 
 
 class DomainError(ConfigError):
-    """A setting outside its domain. `key` names it: a field, an item such
-    as `theta_range[0]` or `stage_time_means.cut`, or a config key path."""
+    """A value outside its domain. `key` names it: a field, an item such as
+    `theta_range[0]` or `stage_time_means.cut`, or a file's key path."""
 
     def __init__(self, key: str, domain: str, shown: str):
         self.key, self.domain, self.shown = key, domain, shown
@@ -101,7 +101,9 @@ class ParseError(HarvestCellError):
 
 
 class ValidationError(HarvestCellError):
-    """A parsed record violates its schema; names the field and record index."""
+    """An input check that no declared domain makes: a detection file's top
+    level, a keypoint outside the image, a depth frame's size, a target's
+    points and radius. Names the field, and the record index if there is one."""
 
     def __init__(self, field: str, index=None, message: str = ""):
         self.field = field

@@ -16,7 +16,7 @@ All trigonometry and derivatives are evaluated in radians internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Annotated
 
 from .domains import Checked, Count, Interval, Positive
@@ -58,7 +58,8 @@ class MechanismParams(Checked):
     l_s: Positive = 15.0
     l_p: Positive = 25.0
     l_dm: Positive = 45.0
-    theta_range: tuple[Degrees, Degrees] = (0.0, 120.0)
+    theta_range: tuple[Degrees, Degrees] = field(
+        default=(0.0, 120.0), metadata={"key": "theta_range_deg"})
     finger_count: Count = 6
 
     def __post_init__(self):

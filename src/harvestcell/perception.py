@@ -5,6 +5,15 @@ file of per-tomato segmentation + keypoint records and a binary depth frame.
 Keypoints are lifted through a pinhole camera model into the robot base
 frame and the harvest target is selected among the ripe detections.
 
+Detection file: a JSON array of records, each read by `domains.load` into a
+`DetectionRecord`, whose fields declare its schema: {"class": "ripe" or
+"unripe", "score": s, "bbox": [u_min, v_min, u_max, v_max], "keypoints":
+{"center": [u, v, c], "pedicel": [u, v, c]}, "mask": [[u, v], ...] or
+null}, where s and c lie in [0, 1], every u and v is finite and the bbox
+has min < max per axis. Only "mask" may be left out. A record outside its
+schema raises a one-line ConfigError naming its key path: `'[1].score' must
+be in [0, 1], got 1.2`, `unknown key '[0].keypoints.tip'`.
+
 Depth frame format: 16-byte header (magic "DPTH", u32 width, u32 height,
 u32 reserved, all little-endian) followed by row-major float32 depth in
 metres (depth_scale 1.0 for this format).
@@ -15,41 +24,47 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .arm import quat_to_matrix
-from .domains import (FINITE, Checked, Count, Finite, Interval, Positive,
-                      Quaternion, Vec3, shown)
+from .domains import (Checked, Count, Finite, Fraction, Positive, Quaternion,
+                      Vec3, load)
 from .errors import (ConfigError, InvalidDepth, LowConfidence, NoRipeTarget,
                      NoValidDepth, ParseError, ValidationError)
 
-RIPENESS_CLASSES = ("ripe", "unripe")
 SELECTION_POLICIES = ("ripest-nearest", "highest-score")
 DEPTH_MAGIC = b"DPTH"
 DEFAULT_CONFIDENCE_THRESHOLD = 0.5
 # half-width in pixels of the depth neighborhood a keypoint is lifted from
 DEPTH_WINDOW = 2
-_FRACTION = Interval(0.0, 1.0)  # a score or a keypoint confidence
+
+
+class Keypoint(NamedTuple):
+    """A pixel and its confidence, in the file as `[u, v, confidence]`."""
+
+    u: Finite
+    v: Finite
+    confidence: Fraction
 
 
 @dataclass(frozen=True)
-class Keypoint:
-    u: float
-    v: float
-    confidence: float
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
+class DetectionRecord(Checked):
     """One 2D detection: class, score, box, optional mask polygon, two keypoints."""
 
-    label: str                       # "ripe" | "unripe" (JSON key: "class")
-    score: float
-    bbox: tuple[float, float, float, float]   # u_min, v_min, u_max, v_max
-    center: Keypoint
-    pedicel: Keypoint
-    mask: tuple[tuple[float, float], ...] | None = None
+    label: Literal["ripe", "unripe"] = field(metadata={"key": "class"})
+    score: Fraction
+    bbox: tuple[Finite, Finite, Finite, Finite]   # u_min, v_min, u_max, v_max
+    center: Keypoint = field(metadata={"key": "keypoints.center"})
+    pedicel: Keypoint = field(metadata={"key": "keypoints.pedicel"})
+    mask: tuple[tuple[Finite, Finite], ...] | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        u_min, v_min, u_max, v_max = self.bbox
+        if not (u_min < u_max and v_min < v_max):
+            raise ConfigError("bbox must satisfy min < max per axis")
 
 
 @dataclass(frozen=True)
@@ -63,9 +78,10 @@ class CameraModel(Checked):
     width: Count = 1280
     height: Count = 720
     extrinsic_quaternion: Quaternion = field(
-        default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
+        default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]),
+        metadata={"key": "extrinsics.quaternion_xyzw"})
     extrinsic_translation: Vec3 = field(
-        default_factory=lambda: np.zeros(3))
+        default_factory=lambda: np.zeros(3), metadata={"key": "extrinsics.translation"})
     depth_scale: Positive = 1.0
 
     def __post_init__(self):
@@ -104,78 +120,14 @@ class TargetTomato:
                                   "pedicel coincides with the tomato center")
 
 
-def _require_number(value, field_name, index, domain=FINITE) -> float:
-    x = domain.canon(value)
-    if x is None:
-        raise ValidationError(field_name, index, f"must be {domain}, got {shown(value)}")
-    return x
-
-
-def _parse_keypoint(raw, name, index, image_size) -> Keypoint:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ValidationError(f"keypoints.{name}", index,
-                              "expected [u, v, confidence]")
-    u = _require_number(raw[0], f"keypoints.{name}[0]", index)
-    v = _require_number(raw[1], f"keypoints.{name}[1]", index)
-    conf = _require_number(raw[2], f"keypoints.{name}[2]", index, _FRACTION)
-    if image_size is not None:
-        width, height = image_size
-        if not (0.0 <= u < width and 0.0 <= v < height):
-            raise ValidationError(f"keypoints.{name}", index,
-                                  f"({u}, {v}) outside {width}x{height} image")
-    return Keypoint(u=u, v=v, confidence=conf)
-
-
-_RECORD_KEYS = {"class", "score", "bbox", "mask", "keypoints"}
-
-
-def _parse_record(raw, index, image_size) -> DetectionRecord:
-    if not isinstance(raw, dict):
-        raise ValidationError("record", index, "expected a JSON object")
-    unknown = set(raw) - _RECORD_KEYS
-    if unknown:
-        raise ValidationError(sorted(unknown)[0], index, "unknown field")
-    label = raw.get("class")
-    if label not in RIPENESS_CLASSES:
-        raise ValidationError("class", index,
-                              f"expected one of {RIPENESS_CLASSES}, got {label!r}")
-    score = _require_number(raw.get("score"), "score", index, _FRACTION)
-    bbox_raw = raw.get("bbox")
-    if not isinstance(bbox_raw, (list, tuple)) or len(bbox_raw) != 4:
-        raise ValidationError("bbox", index, "expected [u_min, v_min, u_max, v_max]")
-    bbox = tuple(_require_number(b, f"bbox[{i}]", index)
-                 for i, b in enumerate(bbox_raw))
-    if not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
-        raise ValidationError("bbox", index, "min must be < max per axis")
-    kps = raw.get("keypoints")
-    if not isinstance(kps, dict) or set(kps) != {"center", "pedicel"}:
-        raise ValidationError("keypoints", index,
-                              "expected object with 'center' and 'pedicel'")
-    center = _parse_keypoint(kps["center"], "center", index, image_size)
-    pedicel = _parse_keypoint(kps["pedicel"], "pedicel", index, image_size)
-    mask = None
-    if raw.get("mask") is not None:
-        mask_raw = raw["mask"]
-        if not isinstance(mask_raw, list):
-            raise ValidationError("mask", index, "expected a list of [u, v] vertices")
-        vertices = []
-        for j, vert in enumerate(mask_raw):
-            if not isinstance(vert, (list, tuple)) or len(vert) != 2:
-                raise ValidationError(f"mask[{j}]", index, "expected [u, v]")
-            vertices.append((_require_number(vert[0], f"mask[{j}][0]", index),
-                             _require_number(vert[1], f"mask[{j}][1]", index)))
-        mask = tuple(vertices)
-    return DetectionRecord(label=label, score=score, bbox=bbox,
-                           center=center, pedicel=pedicel, mask=mask)
-
-
 def load_detections(path, image_size: tuple[int, int] | None = None
                     ) -> list[DetectionRecord]:
     """Load and validate a detection-record JSON file (order preserved).
 
     image_size, when given as (width, height), additionally bounds-checks
-    the keypoints. Raises ParseError for malformed JSON and ValidationError
-    naming the offending field and record index.
+    the keypoints. Raises ParseError for malformed JSON, ConfigError for a
+    record outside its schema, and ValidationError for a top level that is
+    not an array or a keypoint outside the image.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -187,7 +139,18 @@ def load_detections(path, image_size: tuple[int, int] | None = None
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ValidationError("root", None, "top level must be a JSON array")
-    return [_parse_record(raw, i, image_size) for i, raw in enumerate(data)]
+    records = []
+    for i, raw in enumerate(data):
+        record = load(DetectionRecord, raw, f"[{i}]")
+        if image_size is not None:
+            width, height = image_size
+            for name in ("center", "pedicel"):
+                u, v, _ = getattr(record, name)
+                if not (0.0 <= u < width and 0.0 <= v < height):
+                    raise ValidationError(f"keypoints.{name}", i, f"({u}, {v}) "
+                                          f"outside {width}x{height} image")
+        records.append(record)
+    return records
 
 
 def save_detections(path, records: list[DetectionRecord]) -> None:
@@ -199,8 +162,8 @@ def save_detections(path, records: list[DetectionRecord]) -> None:
             "score": rec.score,
             "bbox": list(rec.bbox),
             "keypoints": {
-                "center": [rec.center.u, rec.center.v, rec.center.confidence],
-                "pedicel": [rec.pedicel.u, rec.pedicel.v, rec.pedicel.confidence],
+                "center": list(rec.center),
+                "pedicel": list(rec.pedicel),
             },
         }
         if rec.mask is not None:

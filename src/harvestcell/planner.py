@@ -74,8 +74,8 @@ from typing import Annotated, Literal, NamedTuple
 import numpy as np
 
 from .arm import KinematicChain, link_points_batch
-from .domains import (Checked, Count, Finite, Interval, Natural, NonNegative,
-                      Positive, Vec3)
+from .domains import (Checked, Count, Finite, Fraction, Interval, Natural,
+                      NonNegative, Positive, Vec3)
 from .errors import DimensionMismatch, InfeasibleEndpoints, NoFeasibleFound
 from .geometry import segment_point_distance, segment_segment_distance
 
@@ -136,7 +136,7 @@ class PsoConfig(Checked):
 
     swarm_size: Annotated[int, Interval(2, integer=True)] = 30
     iterations: Count = 150
-    inertia: Annotated[float, Interval(0.0, 1.0)] = 0.7
+    inertia: Fraction = 0.7
     cognitive: NonNegative = 1.5
     social: NonNegative = 1.5
     waypoints_per_particle: Count = 3

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from harvestcell import cli, config, harvest, mechanism, perception
 from harvestcell.config import default_config_path
-from harvestcell.errors import ParseError, ValidationError
+from harvestcell.errors import ConfigError, ParseError, ValidationError
 from harvestcell.perception import (DEPTH_MAGIC, load_depth_frame,
                                     load_detections, write_depth_frame)
 
@@ -637,7 +637,7 @@ def test_fuzzed_detections_rejected_cleanly(fuzz_dir, detection_fixture, blob):
     det.write_bytes(blob)
     try:
         records = load_detections(det, (1280, 720))
-    except (ParseError, ValidationError):
+    except (ParseError, ValidationError, ConfigError):
         _assert_pick_stats_rejects(det, detection_fixture[1], fuzz_dir / "stats.json")
     else:
         assert isinstance(records, list)

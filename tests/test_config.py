@@ -15,7 +15,7 @@ from harvestcell.arm import IkOptions, Joint, KinematicChain, Pose, RigidTransfo
 from harvestcell.config import (RunConfig, default_config_path, load_config,
                                 parse_config)
 from harvestcell.domains import (FINITE, FLOAT_MAX, Checked, Interval,
-                                 UnitQuaternion, Vector)
+                                 UnitQuaternion, Vector, _checks)
 from harvestcell.errors import ConfigError, DomainError
 from harvestcell.harvest import PickCycleConfig
 from harvestcell.mechanism import MechanismParams
@@ -391,10 +391,16 @@ _REQUIRED = {Sphere: {"center": np.zeros(3), "radius": 0.03},
     (RigidTransform, "quaternion", [0.0, 0.0, 0.0, 1.0 + 1e-9]),
     (CameraModel, "extrinsic_quaternion", [0.5, -0.5, 0.5, -0.5000000014]),
     (Pose, "orientation", [0.0, 0.0, 0.0]),
+    # a container of settings: `field[0]` names its first item
+    (PickCycleConfig, "stage_time_means", 5),
+    (KinematicChain, "joints[0]", [5]),
+    (KinematicChain, "base_frame", 3),
+    (Scene, "spheres[0]", [1]),
+    (Scene, "capsules[0]", ("x",)),
 ])
 def test_out_of_domain_setting_rejected_on_construction(cls, field, value):
-    with pytest.raises(DomainError, match=rf"^'{field}' must be "):
-        cls(**{**_REQUIRED.get(cls, {}), field: value})
+    with pytest.raises(DomainError, match=rf"^'{re.escape(field)}' must be "):
+        cls(**{**_REQUIRED.get(cls, {}), field.split("[")[0]: value})
 
 
 @pytest.mark.parametrize("make, key", [
@@ -444,23 +450,29 @@ _UNDECLARED = {(Pose, "position")}
 
 @pytest.mark.parametrize("cls", _CHECKED, ids=lambda c: c.__name__)
 def test_every_numeric_setting_declares_its_domain(cls):
+    # a setting that is a dataclass, or a container of them, declares an
+    # instance of its class: the checker must pick it up
     assert issubclass(cls, Checked)
+    checked = {name for name, _, _ in _checks(cls)}
     declared = 0
     for name, full, plain in _declarations(cls):
         if (cls, name) in _UNDECLARED:
             continue
         if plain in (float, int, np.ndarray):
             parts = [full]
+        elif dataclasses.is_dataclass(plain):
+            parts = []
         elif typing.get_origin(plain) in (tuple, dict):
             parts = [arg for arg, kind in zip(typing.get_args(full),
                                               typing.get_args(plain))
                      if kind in (float, int)]
         else:
             continue
+        assert name in checked, name
         for part in parts:
             assert typing.get_origin(part) is typing.Annotated, name
-            declared += 1
-    assert declared or cls is Scene  # a scene only groups obstacles
+        declared += 1
+    assert declared
 
 
 def _leaves(shipped):
@@ -475,8 +487,10 @@ def _leaves(shipped):
         for token in _tokens(section):
             obj = (obj[int(token[1:-1])] if token.startswith("[")
                    else getattr(obj, token))
+        file_keys = {f.name: f.metadata.get("key", f.name)
+                     for f in dataclasses.fields(cls)}
         for name, full, _ in _declarations(cls):
-            key = config._YAML_KEYS.get(name, name)
+            key = file_keys[name]
             path = f"{section}.{key}"
             origin, args = typing.get_origin(full), typing.get_args(full)
             current = getattr(obj, name)

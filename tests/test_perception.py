@@ -1,12 +1,19 @@
+import dataclasses
 import json
+import math
+import types
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harvestcell.arm import quat_to_matrix
-from harvestcell.errors import (ConfigError, InvalidDepth, LowConfidence,
-                                NoRipeTarget, NoValidDepth, ParseError,
-                                ValidationError)
+from harvestcell.domains import FLOAT_MAX, Interval
+from harvestcell.errors import (ConfigError, DomainError, InvalidDepth,
+                                LowConfidence, NoRipeTarget, NoValidDepth,
+                                ParseError, ValidationError)
 from harvestcell.perception import (CameraModel, DetectionRecord, Keypoint,
                                     TargetTomato, build_target,
                                     camera_to_base, camera_to_pixel,
@@ -46,10 +53,9 @@ def test_load_preserves_order(tmp_path):
 
 def test_load_rejects_bad_score(tmp_path):
     path = _write(tmp_path, [_record(), _record(score=1.2)])
-    with pytest.raises(ValidationError) as exc_info:
+    with pytest.raises(DomainError) as exc_info:
         load_detections(path)
-    assert exc_info.value.field == "score"
-    assert exc_info.value.index == 1
+    assert exc_info.value.key == "[1].score"
 
 
 def test_load_empty_list(tmp_path):
@@ -65,15 +71,14 @@ def test_load_rejects_malformed_json(tmp_path):
 
 def test_load_rejects_unknown_field(tmp_path):
     path = _write(tmp_path, [_record(extra=1)])
-    with pytest.raises(ValidationError, match="unknown"):
+    with pytest.raises(ConfigError, match=r"unknown key '\[0\]\.extra'"):
         load_detections(path)
 
 
 def test_load_rejects_bad_bbox(tmp_path):
     path = _write(tmp_path, [_record(bbox=[200.0, 100.0, 100.0, 200.0])])
-    with pytest.raises(ValidationError) as exc_info:
+    with pytest.raises(ConfigError, match=r"^'\[0\]': bbox"):
         load_detections(path)
-    assert exc_info.value.field == "bbox"
 
 
 def test_load_bounds_check_with_image_size(tmp_path):
@@ -83,6 +88,106 @@ def test_load_bounds_check_with_image_size(tmp_path):
     assert len(load_detections(path)) == 1  # no bounds without image size
     with pytest.raises(ValidationError, match="keypoints.center"):
         load_detections(path, image_size=(640, 480))
+
+
+def _declared(hint):
+    """(item path, domain) of each leaf an annotation declares: an Interval,
+    or the tuple of choices of a Literal; a tuple of any length by its first
+    item."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:
+        yield (), args[1]
+    elif origin is typing.Literal:
+        yield (), args
+    elif origin in (typing.Union, types.UnionType):  # X | None
+        yield from _declared(args[0])
+    else:
+        if hasattr(hint, "_fields"):  # a NamedTuple
+            hints = typing.get_type_hints(hint, include_extras=True)
+            args = [hints[name] for name in hint._fields]
+        for i, item in enumerate(args[:1] if args[-1] is Ellipsis else args):
+            for path, domain in _declared(item):
+                yield (i, *path), domain
+
+
+_RECORD_HINTS = typing.get_type_hints(DetectionRecord, include_extras=True)
+# (file key, item path, domain) of each leaf a record declares
+_RECORD_LEAVES = [(f.metadata.get("key", f.name), path, domain)
+                  for f in dataclasses.fields(DetectionRecord)
+                  for path, domain in _declared(_RECORD_HINTS[f.name])]
+
+
+def _leaf_name(key, path):
+    return key + "".join(f"[{i}]" for i in path)
+
+
+def _record_with(key, path, value):
+    """A valid record with a mask, one leaf of which is set to `value`."""
+    record = _record(mask=[[100.0, 100.0], [200.0, 100.0], [150.0, 200.0]])
+    *tokens, last = key.split(".") + list(path)
+    node = record
+    for token in tokens:
+        node = node[token]
+    node[last] = value
+    return record
+
+
+def _inside_record(domain):
+    if not isinstance(domain, Interval):  # the choices of a Literal
+        return st.sampled_from(domain)
+    return st.floats(domain.lo, domain.hi)
+
+
+def _outside_record(domain):
+    if not isinstance(domain, Interval):
+        return st.one_of(st.integers(), st.text(max_size=8).filter(
+            lambda text: text not in domain))
+    parts = [st.booleans(), st.text(max_size=3),
+             st.sampled_from([math.nan, math.inf, -math.inf])]
+    if domain.lo > -FLOAT_MAX:
+        parts.append(st.floats(max_value=math.nextafter(domain.lo, -math.inf)))
+    if domain.hi < FLOAT_MAX:
+        parts.append(st.floats(min_value=math.nextafter(domain.hi, math.inf)))
+    return st.one_of(*parts)
+
+
+def test_record_leaves_cover_the_schema():
+    # the documented record schema: every leaf and its domain
+    fraction, finite = "in [0, 1]", "finite"
+    assert {_leaf_name(key, path): str(domain)
+            for key, path, domain in _RECORD_LEAVES} == {
+        "class": str(("ripe", "unripe")), "score": fraction,
+        **{f"bbox[{i}]": finite for i in range(4)},
+        **{f"keypoints.{name}[{i}]": (finite, finite, fraction)[i]
+           for name in ("center", "pedicel") for i in range(3)},
+        "mask[0][0]": finite, "mask[0][1]": finite}
+
+
+@pytest.fixture(scope="module")
+def leaf_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("record-leaves")
+
+
+@pytest.mark.parametrize("key, path, domain", _RECORD_LEAVES,
+                         ids=[_leaf_name(key, path) for key, path, _ in _RECORD_LEAVES])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_declared_record_domain_bounds_what_the_loader_accepts(
+        leaf_dir, key, path, domain, data):
+    records = leaf_dir / "records.json"
+    inside = data.draw(_inside_record(domain), label="inside")
+    records.write_text(json.dumps([_record_with(key, path, inside)]))
+    try:
+        assert len(load_detections(records)) == 1
+    except ConfigError as exc:  # only the bbox order, a check between fields
+        assert key == "bbox" and str(exc).startswith("'[0]': bbox "), exc
+    outside = data.draw(_outside_record(domain), label="outside")
+    records.write_text(json.dumps([_record_with(key, path, outside)]))
+    with pytest.raises(DomainError) as exc_info:
+        load_detections(records)
+    message = str(exc_info.value)
+    assert "\n" not in message
+    assert message.startswith(f"'[0].{_leaf_name(key, path)}' must be ")
 
 
 def test_detections_round_trip(tmp_path):
