@@ -131,12 +131,16 @@ def cmd_solve_mechanism(config: RunConfig, args, out_path, say) -> int:
         rows.append([_fmt(theta), _fmt(sol.beta), _fmt(sol.xi), _fmt(sol.k),
                      _fmt(sol.u), _fmt(sol.x_m), _fmt(sol.y_m),
                      _fmt(residual_norm), _fmt(gamma_diag), "ok"])
-    text = _csv_text(["theta_deg", "beta_deg", "xi_deg", "k_mm", "u_deg",
-                      "x_m_mm", "y_m_mm", "residual_norm_mm",
-                      "gamma_diag_deg", "status"], rows)
+    if not rows:
+        say(f"the sweep [{start:.6g}, {end:.6g}] deg holds no angle",
+            error=True)
+        return EXIT_CONFIG
     if solved == 0:
         say("no angle in the sweep assembles", error=True)
         return EXIT_CONFIG
+    text = _csv_text(["theta_deg", "beta_deg", "xi_deg", "k_mm", "u_deg",
+                      "x_m_mm", "y_m_mm", "residual_norm_mm",
+                      "gamma_diag_deg", "status"], rows)
     _write_text(out_path, text)
     say(f"wrote {len(rows)} rows to {out_path} ({solved} assembled)")
     return EXIT_OK

@@ -164,11 +164,13 @@ def plan_cycle(target: TargetTomato, chain: KinematicChain, scene: Scene,
     Each failure keeps what the cycle had reached before it; a depart
     failure keeps the cut center, because the cut runs before depart.
 
-    With `first_feasible`, both swarms stop at their first collision-free
-    global best (`plan_trajectories`): the failure stage and outcome, the
-    cut center and every IK answer are those of the default, but the
-    trajectories are feasible, not optimized, and their `gbest_trace` is
-    shorter. It suits callers that read only the decision.
+    Each swarm stops on its own once its feasible global best stagnates,
+    at most after `planner_config.iterations` (`plan_trajectories`). With
+    `first_feasible`, each stops at its first collision-free global best
+    instead: the failure stage and outcome, the cut center and every IK
+    answer are those of the default, but the trajectories are feasible,
+    not optimized, and their `gbest_trace` is shorter. It suits callers
+    that read only the decision.
     """
     if chain.home_q is None:
         raise ConfigError("chain has no home_q; harvest cycles need one")

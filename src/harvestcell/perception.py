@@ -124,8 +124,9 @@ def load_detections(path, image_size: tuple[int, int] | None = None
                     ) -> list[DetectionRecord]:
     """Load and validate a detection-record JSON file (order preserved).
 
-    image_size, when given as (width, height), additionally bounds-checks
-    the keypoints. Raises ParseError for malformed JSON, ConfigError for a
+    image_size, when given as (width, height), additionally rejects a
+    keypoint whose pixel, the one `sample_depth` reads, lies outside the
+    image. Raises ParseError for malformed JSON, ConfigError for a
     record outside its schema, and ValidationError for a top level that is
     not an array or a keypoint outside the image.
     """
@@ -146,7 +147,7 @@ def load_detections(path, image_size: tuple[int, int] | None = None
             width, height = image_size
             for name in ("center", "pedicel"):
                 u, v, _ = getattr(record, name)
-                if not (0.0 <= u < width and 0.0 <= v < height):
+                if _pixel(u, v, width, height) is None:
                     raise ValidationError(f"keypoints.{name}", i, f"({u}, {v}) "
                                           f"outside {width}x{height} image")
         records.append(record)
@@ -229,6 +230,17 @@ def camera_to_base(cam: CameraModel, p_cam) -> np.ndarray:
         + cam.extrinsic_translation
 
 
+def _pixel(u: float, v: float, width: int, height: int) -> tuple[int, int] | None:
+    """The (column, row) of a width x height image that a keypoint at (u, v)
+    is sampled at, each coordinate rounded to the nearest integer (halves
+    to even, as Python's `round`), or None when that pixel lies outside the
+    image. The loader's bounds check and `sample_depth` share this rule: for
+    an even width, u is inside when it lies in [-0.5, width - 0.5), and
+    likewise v for the height."""
+    col, row = round(u), round(v)
+    return (col, row) if 0 <= col < width and 0 <= row < height else None
+
+
 def sample_depth(depth_frame: np.ndarray, u: float, v: float,
                  window: int = DEPTH_WINDOW) -> float:
     """Median of the valid depths in a (2*window+1)^2 neighborhood of (u, v).
@@ -237,10 +249,10 @@ def sample_depth(depth_frame: np.ndarray, u: float, v: float,
     when none remain.
     """
     height, width = depth_frame.shape
-    col = int(round(u))
-    row = int(round(v))
-    if not (0 <= col < width and 0 <= row < height):
+    pixel = _pixel(u, v, width, height)
+    if pixel is None:
         raise NoValidDepth(f"pixel ({u}, {v}) outside {width}x{height} frame")
+    col, row = pixel
     c0, c1 = max(0, col - window), min(width, col + window + 1)
     r0, r1 = max(0, row - window), min(height, row + window + 1)
     patch = np.asarray(depth_frame[r0:r1, c0:c1], dtype=float).ravel()

@@ -55,14 +55,17 @@ particle whose bound already reaches its personal best is not sampled or
 checked, and its slots keep their references, which stay valid. The
 swarm's bytes are those of scoring every particle.
 
-A caller that only needs to know whether planning succeeds can pass
-`first_feasible`: the swarm then stops before an iteration once every
-problem's global best scores below `collision_penalty` inside the joint
-limits. A colliding sample adds the whole penalty to a score whose other
-terms are >= 0, so that best is collision-free at the margin, and the global
-best never rises, so the full run would also have ended feasible. The
-answer to "does it plan?" is the full run's; the trajectory is only
-feasible, not optimized. By default the loop runs every iteration.
+Each problem stops on its own, before an iteration k, once its global best
+is feasible (it scores below `collision_penalty` inside the joint limits)
+and either the caller passed `first_feasible` or the best has stagnated:
+k >= STALL_WINDOW and gbest[k] >= gbest[k - STALL_WINDOW] * (1 - STALL_TOL),
+a stagnation rule of the kind Zielinski & Laur study ("Stopping criteria
+for a constrained single-objective particle swarm optimization algorithm",
+Informatica 31, 2007). A feasible global best stays feasible, so every
+"does it plan?" answer is that of the run to the iteration cap,
+`PsoConfig.iterations`. A stopped problem is skipped by the lazy bound and
+draws nothing more, so every plan is still the one planned alone
+(`plan_trajectories`).
 """
 
 from __future__ import annotations
@@ -81,6 +84,10 @@ from .geometry import segment_point_distance, segment_segment_distance
 
 NO_OBSTACLE_CLEARANCE = np.finfo(float).max
 SAMPLES_PER_SEGMENT = 20
+# a problem whose feasible global best improved by less than STALL_TOL
+# (relative) over the last STALL_WINDOW iterations stops
+STALL_WINDOW = 20
+STALL_TOL = 1e-3
 # covers rounding in the lower bounds: a link's computed end points against
 # its half-length, and the swarm's lever-arm certificate
 _BOUND_SLACK = 1e-9
@@ -132,6 +139,9 @@ class PsoConfig(Checked):
     only, so solutions stand off obstacles instead of grazing them between
     interpolation samples; reported fitness and feasibility always use the
     plain `clearance`.
+
+    `iterations` is a cap: each problem's swarm stops earlier once its
+    feasible global best stagnates (see the module docstring).
     """
 
     swarm_size: Annotated[int, Interval(2, integer=True)] = 30
@@ -462,18 +472,23 @@ def plan_trajectories(chain: KinematicChain, problems, config: PsoConfig, *,
     still has colliding samples after the final iteration. Neither stops or
     perturbs the other problems.
 
-    With `first_feasible`, the loop stops before an iteration once every
-    problem's global best scores below `collision_penalty` and lies inside
-    the joint limits. Such a best has no colliding sample at the margin,
-    since one would add the whole penalty to a score whose other terms are
-    >= 0, so it is feasible at `clearance`. The global best never rises and
-    every later candidate is clipped into the limits, so the full run's
-    final best is feasible too: each problem ends feasible or NoFeasibleFound
-    exactly as in the full run. If the condition never holds (always, when
-    `collision_penalty` is 0) the run is the full one, bit for bit. A
-    trajectory returned early is feasible but not optimized, and its
-    `gbest_trace` is shorter; it is for callers that only read whether
-    planning succeeded.
+    Each problem runs at most `config.iterations` iterations and stops
+    before iteration k once its global best is feasible (below
+    `collision_penalty`, inside the joint limits) and has stagnated: k >=
+    STALL_WINDOW and gbest[k] >= gbest[k - STALL_WINDOW] * (1 - STALL_TOL).
+    With `first_feasible` it stops at its first feasible global best. Such
+    a best has no colliding sample at the margin, since one would add the
+    whole penalty to a score whose other terms are >= 0, so it is feasible
+    at `clearance`; the global best never rises and every later candidate
+    is clipped into the limits, so the capped run's final best is feasible
+    too: each problem ends feasible or NoFeasibleFound exactly as it would
+    at the cap. A problem never stops while its best is infeasible (always,
+    when `collision_penalty` is 0). A stopped problem is skipped by the
+    lazy bound, leaves the personal-best update and draws nothing more, so
+    its plan is the one a run capped at its stop count gives, and its
+    `gbest_trace` ends there. A trajectory returned under `first_feasible`
+    is feasible but not optimized; it is for callers that only read
+    whether planning succeeded. The loop ends once every problem stopped.
     """
     n = chain.n_joints
     lo, hi = chain.limit_arrays()
@@ -550,23 +565,34 @@ def plan_trajectories(chain: KinematicChain, problems, config: PsoConfig, *,
     gbest_pos = positions[each, best_idx]       # (P, dims) copy
     gbest_score = scores[each, best_idx]
     trace = [gbest_score.copy()]
+    stops = np.full(count, config.iterations)  # iterations each problem ran
+    active = np.ones(count, dtype=bool)
 
-    for _ in range(config.iterations):
+    for k in range(config.iterations):
         # the initial draws are not clipped, so a best's zero limit term is
         # checked here rather than assumed
-        if first_feasible and np.all(
-                (gbest_score < config.collision_penalty)
-                & ((q_lo <= gbest_pos) & (gbest_pos <= q_hi)).all(axis=1)):
+        feasible = ((gbest_score < config.collision_penalty)
+                    & ((q_lo <= gbest_pos) & (gbest_pos <= q_hi)).all(axis=1))
+        settled = first_feasible or (k >= STALL_WINDOW and gbest_score
+                                     >= trace[k - STALL_WINDOW] * (1.0 - STALL_TOL))
+        stopping = active & feasible & settled
+        stops[stopping] = k
+        active &= ~stopping
+        if not active.any():
             break
-        draws = np.array([(rng.random((size, dims)), rng.random((size, dims)))
-                          for rng in rngs])
-        r1, r2 = draws[:, 0], draws[:, 1]
-        velocities = (config.inertia * velocities
-                      + config.cognitive * r1 * (pbest_pos - positions)
-                      + config.social * r2 * (gbest_pos[:, None] - positions))
-        positions = np.clip(positions + velocities, q_lo, q_hi)
-        scores = swarm_scores(positions, pbest_score.reshape(-1))
-        improved = scores < pbest_score
+        on = np.flatnonzero(active)
+        r1, r2 = np.array([(rngs[i].random((size, dims)),
+                            rngs[i].random((size, dims))) for i in on]
+                          ).transpose(1, 0, 2, 3)
+        moving = positions[on]
+        velocities[on] = (config.inertia * velocities[on]
+                          + config.cognitive * r1 * (pbest_pos[on] - moving)
+                          + config.social * r2 * (gbest_pos[on, None] - moving))
+        positions[on] = np.clip(moving + velocities[on], q_lo, q_hi)
+        # a stopped problem's ceiling -inf skips its particles unsampled
+        ceiling = np.where(active[:, None], pbest_score, -np.inf)
+        scores = swarm_scores(positions, ceiling.reshape(-1))
+        improved = (scores < pbest_score) & active[:, None]
         pbest_pos[improved] = positions[improved]
         pbest_score[improved] = scores[improved]
         best_idx = np.argmin(pbest_score, axis=1)
@@ -587,7 +613,7 @@ def plan_trajectories(chain: KinematicChain, problems, config: PsoConfig, *,
             fitness=breakdown.score,
             feasible=feasible,
             breakdown=breakdown,
-            gbest_trace=tuple(traces[k]),
+            gbest_trace=tuple(traces[k][:stops[k] + 1]),
         )
         results[p] = result if feasible else NoFeasibleFound(result)
     return results

@@ -246,6 +246,16 @@ def test_solve_mechanism_unbounded_step(tmp_path, capsys, step):
     assert "theta_step" in _assert_one_line_error(capsys)
 
 
+def test_solve_mechanism_empty_sweep(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["--quiet", "--out", str(out), "solve-mechanism",
+                     "--start", "50", "--end", "40"])
+    assert code == 1
+    assert not out.exists()
+    assert _assert_one_line_error(capsys) == (
+        "harvestcell: the sweep [50, 40] deg holds no angle\n")
+
+
 @pytest.mark.parametrize("flag, value", [
     pytest.param("--p-min", "nan", id="nan-p-min"),
     pytest.param("--p-max", "inf", id="inf-p-max"),

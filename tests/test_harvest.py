@@ -368,9 +368,9 @@ def test_calibrate_noise_checks_arguments_before_planning(
 
 def test_plan_cycle_bytes_pinned(harvest_plans):
     # SHA-256 of the shipped target's cycle plans (IK answers, both plans'
-    # waypoints and fitness) at the shipped PSO seed, taken at commit
-    # a329a7d, before plan_cycle planned approach and depart in one swarm
-    # loop (numpy 2.x, x86-64)
+    # waypoints and fitness) at the shipped PSO seed, taken when each swarm
+    # first stopped once its feasible best stagnated (approach after 57
+    # iterations, depart after 69) (numpy 2.x, x86-64)
     digest = hashlib.sha256()
     for array in (harvest_plans.q_pregrasp, harvest_plans.q_grasp,
                   harvest_plans.q_punnet,
@@ -381,7 +381,7 @@ def test_plan_cycle_bytes_pinned(harvest_plans):
                        harvest_plans.depart_trajectory):
         digest.update(np.float64(trajectory.fitness).tobytes())
     assert digest.hexdigest() == (
-        "4ec81531e6fe933085e4b9b277a660b7f7923a9b1c4e565c2381c8677d087fa8")
+        "8296782f6f70244d74705c6c9b5d3983274bf60dd70afb4e5332c2eed3074301")
 
 
 def _failing_ik(monkeypatch, fails):

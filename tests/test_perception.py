@@ -90,6 +90,30 @@ def test_load_bounds_check_with_image_size(tmp_path):
         load_detections(path, image_size=(640, 480))
 
 
+@pytest.mark.parametrize("u", [1279.5, 1279.6])
+def test_load_rejects_a_keypoint_that_rounds_past_the_image(tmp_path, u):
+    # the depth sampler rounds u to column 1280 of a 1280-pixel row
+    rec = _record(bbox=[1200.0, 100.0, 1279.0, 200.0])
+    rec["keypoints"]["center"] = [u, 150.0, 0.9]
+    path = _write(tmp_path, [rec])
+    with pytest.raises(ValidationError,
+                       match=r"keypoints\.center.*outside 1280x720 image"):
+        load_detections(path, image_size=(1280, 720))
+
+
+@pytest.mark.parametrize("u", [1279.4, -0.4, -0.5])
+def test_every_loaded_keypoint_lifts(tmp_path, u):
+    # the loader and the depth sampler share one pixel rule: a keypoint
+    # that loads lifts on a uniform frame of the image's size
+    rec = _record(bbox=[-1.0, 100.0, 1279.0, 200.0])
+    rec["keypoints"]["center"] = [u, 150.0, 0.9]
+    rec["keypoints"]["pedicel"] = [u, 120.0, 0.8]
+    record, = load_detections(_write(tmp_path, [rec]), image_size=(1280, 720))
+    frame = np.full((720, 1280), 0.5)
+    target = build_target(record, WIDE_CAM, frame)
+    assert target.center_3d[2] == pytest.approx(0.5)
+
+
 def _declared(hint):
     """(item path, domain) of each leaf an annotation declares: an Interval,
     or the tuple of choices of a Literal; a tuple of any length by its first

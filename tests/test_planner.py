@@ -477,16 +477,17 @@ def test_plan_trajectory_bytes_pinned(chain, run_config):
 
 
 def test_swarm_bytes_pinned_full_size(chain, run_config):
-    # SHA-256 of a shipped-default swarm (30 particles, 150 iterations)
-    # approach plan at seed 11, to the same goal, taken
-    # at commit 8b70dfa, before the swarm skipped particles whose lower bound
-    # reaches their personal best (numpy 2.x, x86-64)
+    # SHA-256 of a shipped-default swarm (30 particles, at most 150
+    # iterations) approach plan at seed 11, to the same goal, taken when
+    # each problem first stopped once its feasible best stagnated (after 60
+    # iterations here); it equals the plan of a run capped at 60 iterations
+    # without that stop (numpy 2.x, x86-64)
     config = replace(run_config.pso, seed=11)
     assert (config.swarm_size, config.iterations) == (30, 150)
     traj = plan_trajectory(chain, chain.home_q, PINNED_GOAL, run_config.scene,
                            config)
     assert _plan_digest(traj) == (
-        "f72a528e82130fc83052b69328456ce6f238f46b44a5695a32c7818690e59b8c")
+        "6befb435cee61109702e1c36085286c6b4b0c7ffebeeba650b546eb768b90026")
 
 
 def test_swarm_skips_particles_bounded_by_pbest(chain, run_config, monkeypatch):
@@ -729,10 +730,18 @@ def test_no_feasible_found_leaves_other_plan_alone(chain):
     for result, problem in zip(got, problems):
         _assert_same_plan(result, _lone(chain, *problem, config))
     # the blocked swarm never finds a collision-free best, so stopping at
-    # the first one changes nothing, for either problem
-    for result, want in zip(plan_trajectories(chain, problems, config,
-                                              first_feasible=True), got):
-        _assert_same_plan(result, want)
+    # the first one changes nothing for it; the empty-scene problem, free
+    # from the start, stops at once
+    fast = plan_trajectories(chain, problems, config, first_feasible=True)
+    _assert_same_plan(fast[1], got[1])
+    # whole plan: the one made alone (a run capped at its stop count of 0
+    # cannot be configured, as iterations >= 1), and the full run's start
+    alone, = plan_trajectories(chain, problems[:1], config, first_feasible=True)
+    _assert_same_plan(fast[0], alone)
+    assert fast[0].feasible
+    assert fast[0].gbest_trace == got[0].gbest_trace[:1]
+    assert fast[0].fitness == got[0].gbest_trace[0]
+    assert fast[0].breakdown == fitness(fast[0], chain, EMPTY, config)
 
 
 @pytest.mark.parametrize("point, match", [
@@ -750,8 +759,8 @@ def test_without_sphere_containing_rejects_a_bad_point(run_config, point,
 
 def test_first_feasible_stops_at_the_first_collision_free_best(chain):
     # seed 5's global best first scores below the collision penalty after
-    # two iterations; the empty-scene problem, free from the start, runs
-    # in lockstep until both are
+    # two iterations; the empty-scene problem, free from the start, stops
+    # at once
     config = replace(FAST_PSO, seed=5)
     problems = [_blocked_problem(chain),
                 (chain.home_q, chain.home_q + np.array([0.4, 0.2, -0.3, 0.2, 0.5]),
@@ -761,9 +770,10 @@ def test_first_feasible_stops_at_the_first_collision_free_best(chain):
     trace = np.asarray(full[0].gbest_trace)
     first = int(np.flatnonzero(trace < config.collision_penalty)[0])
     assert first == 2
-    for got, want, (start, goal, scene) in zip(fast, full, problems):
+    for got, want, stop, (start, goal, scene) in zip(fast, full, (first, 0),
+                                                     problems):
         assert want.feasible and got.feasible
-        assert got.gbest_trace == want.gbest_trace[:first + 1]
+        assert got.gbest_trace == want.gbest_trace[:stop + 1]
         assert np.array_equal(got.waypoints[0], start)
         assert np.array_equal(got.waypoints[-1], goal)
         assert got.breakdown == fitness(got, chain, scene, config)
@@ -781,3 +791,103 @@ def test_first_feasible_never_stops_without_a_collision_penalty(chain,
         if isinstance(want, NoFeasibleFound):
             want = want.best_trajectory
         assert len(want.gbest_trace) == config.iterations + 1
+
+
+def test_certificate_is_tight_for_a_worst_case_joint_move(chain):
+    # turning joint 3 swings the tool point on a circle whose radius is the
+    # joint's whole lever (0.166 m: the last two links lie along joint 4's
+    # axis), toward a sphere on that circle, so the clearance falls by
+    # nearly |dq| * levers[3]; a threshold just above the moved sample's
+    # clearance makes a certificate with shorter levers count it free
+    joint, dq = 3, 0.3
+    step = dq * np.eye(chain.n_joints)[joint]
+    q_ref = chain.home_q
+    ahead = link_points(chain, q_ref + 1.5 * step)[-1]
+    scene = Scene(spheres=(Sphere(center=ahead, radius=0.02),))
+    ref_clear = collision_check(chain, q_ref, scene).min_clearance
+    paths = np.array([[q_ref, q_ref + step]])
+    moved = q_ref + (paths[0, 1] - q_ref)       # _score's last sample
+    clear = collision_check(chain, moved, scene).min_clearance
+    bound = dq * chain.compiled.levers[joint]
+    assert ref_clear - clear > 0.9 * bound
+    threshold = clear + 1e-6
+    slots = planner.SAMPLES_PER_SEGMENT          # one segment
+    refs = (np.tile(q_ref, (slots, 1)), np.full(slots, ref_clear))
+    arrays = _scene_arrays(chain, scene)
+    full = _score(paths, chain, arrays, FAST_PSO, threshold)
+    certified = _score(paths, chain, arrays, FAST_PSO, threshold, refs=refs)
+    assert full[-1][0] >= 1
+    for got, want in zip(certified, full):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("first_feasible", [False, True])
+def test_no_stop_while_the_best_collides_at_the_margin(chain, first_feasible):
+    # a sphere just past the goal's tool point, along the last link: the
+    # goal keeps clearance + penalty_margin / 2, free at `clearance` but
+    # colliding at the swarm's margin, so every particle's last sample
+    # collides there; the global best ends with exactly that one colliding
+    # sample, and neither stop fires below 2 * collision_penalty
+    config = FAST_PSO
+    goal = chain.home_q + np.array([0.4, 0.2, -0.3, 0.2, 0.5])
+    pts = link_points(chain, goal)
+    out = (pts[-1] - pts[-2]) / np.linalg.norm(pts[-1] - pts[-2])
+    gap = config.clearance + 0.5 * config.penalty_margin
+    scene = Scene(spheres=(Sphere(center=pts[-1] + (0.03 + gap) * out,
+                                  radius=0.03),))
+    clear = collision_check(chain, goal, scene).min_clearance
+    assert config.clearance <= clear < config.clearance + config.penalty_margin
+    got, = plan_trajectories(chain, [(chain.home_q, goal, scene)], config,
+                             first_feasible=first_feasible)
+    assert got.feasible
+    assert len(got.gbest_trace) == config.iterations + 1
+    penalty = config.collision_penalty
+    assert penalty <= got.gbest_trace[-1] < 2 * penalty
+
+
+def test_stall_stops_each_problem_on_its_own(chain, run_config, monkeypatch):
+    # at the shipped settings the approach stagnates before the depart;
+    # each plan is the one planned alone, with no configuration checked
+    # for a stopped problem, and the one a run without the stop gives when
+    # capped at the iterations it ran
+    config = run_config.pso
+    problems = _cycle_problems(chain, run_config)
+    checked = []
+    real = planner.link_points_batch
+
+    def spy(chain, qs):
+        checked.append(len(qs))
+        return real(chain, qs)
+
+    monkeypatch.setattr(planner, "link_points_batch", spy)
+    got = plan_trajectories(chain, problems, config)
+    lockstep, checked[:] = sum(checked), []
+    lone = [_lone(chain, *problem, config) for problem in problems]
+    assert lockstep == sum(checked)
+    ran = [len(plan.gbest_trace) - 1 for plan in got]
+    assert ran[0] != ran[1] and max(ran) < config.iterations
+    for plan in got:
+        trace = plan.gbest_trace
+        assert trace[-1] >= trace[-1 - planner.STALL_WINDOW] * (
+            1.0 - planner.STALL_TOL)
+    monkeypatch.setattr(planner, "STALL_WINDOW", config.iterations + 1)
+    for plan, alone, problem, iterations in zip(got, lone, problems, ran):
+        assert plan.feasible
+        _assert_same_plan(plan, alone)
+        _assert_same_plan(plan, plan_trajectory(
+            chain, *problem, replace(config, iterations=iterations)))
+
+
+@pytest.mark.parametrize("seed", range(11, 16))
+def test_stall_keeps_plan_quality(chain, run_config, monkeypatch, seed):
+    # the stopped plans against the full 150 iterations: as feasible, and
+    # no more than 0.5 % longer
+    config = replace(run_config.pso, seed=seed)
+    problems = _cycle_problems(chain, run_config)
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "STALL_WINDOW", config.iterations + 1)
+        full = plan_trajectories(chain, problems, config)
+    for got, want in zip(plan_trajectories(chain, problems, config), full):
+        assert got.feasible and want.feasible
+        assert len(want.gbest_trace) == config.iterations + 1
+        assert got.fitness <= want.fitness * 1.005
