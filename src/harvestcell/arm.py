@@ -3,19 +3,21 @@ damped-least-squares inverse kinematics.
 
 The chain is purely data-driven: each revolute joint has a rotation axis and
 an origin offset expressed in its parent frame. Units are metres and radians.
-Every FK result, for one configuration or a batch, comes from one batched
-kernel, `_frames`, over the chain's `compiled` arrays. A 5-DOF arm cannot
-track full 6-DOF poses, so IK has one target form, solved by one loop
-(`_solve`): a position plus the base-frame direction of the tool "approach
-axis"; the roll about it is left free. `inverse_kinematics` reads that axis
-off a `Pose`, `solve_ik_point` takes it as given.
+FK has two kernels over the chain's `compiled` constants: `_frames` for a
+batch of configurations (the planner's, on numpy arrays) and `_one` for one
+configuration (FK, the Jacobian, link points and every IK iterate, on Python
+floats, where numpy's per-call overhead would cost more than the
+arithmetic). `_one` takes `_frames`' steps in the same order, and on the
+shipped arm the two agree to the bit.
 
-IK works on batches of one, where numpy's per-call overhead, not the
-arithmetic, sets the cost. So `_frames` writes every product into buffers
-made once per call, cross products are formed by components (`_cross`)
-instead of `np.cross`, and each IK iterate's residual norm is computed once.
-These keep every floating-point operation and its order, so the answers are
-the same to the bit.
+A 5-DOF arm cannot track full 6-DOF poses, so IK has one target form,
+solved by one loop (`_solve`): a position plus the base-frame direction of
+the tool "approach axis"; the roll about it is left free.
+`inverse_kinematics` reads that axis off a `Pose`, `solve_ik_point` takes
+it as given. Each step solves (J^T J + lambda^2 I) dq = J^T e by Cholesky:
+the damping lambda is at least half the residual norm, so it is positive at
+every iterate that has not converged, and the matrix is symmetric positive
+definite.
 """
 
 from __future__ import annotations
@@ -157,29 +159,39 @@ class KinematicChain(Checked):
 
     @functools.cached_property
     def compiled(self) -> CompiledChain:
-        """The chain as stacked arrays, built on first use and kept on the
-        instance (the ndarray fields make the chain unhashable, so no
-        lru_cache can key on it); its arrays must not change after that."""
+        """The chain as stacked arrays and as float tuples, built on first
+        use and kept on the instance (the ndarray fields make the chain
+        unhashable, so no lru_cache can key on it); its arrays must not
+        change after that."""
         axes = np.array([j.axis for j in self.joints], dtype=float)
         k = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]
                       for x, y, z in axes])
+        k2 = np.array([m @ m for m in k])
         offsets = np.array([j.offset for j in self.joints]
                            + [self.tool_offset.translation], dtype=float)
         first_moving = _static_link_count(axes, offsets[1:])
         levers = np.cumsum(np.linalg.norm(offsets[1:], axis=1)[::-1])[::-1]
+        base_rot, tool_rot = self.base_frame.matrix(), self.tool_offset.matrix()
+        lo, hi = self.limit_arrays()
         compiled = CompiledChain(
-            offsets, axes, k, np.array([m @ m for m in k]), self.base_frame.matrix(),
-            self.base_frame.translation, self.tool_offset.matrix(), first_moving,
-            static_points=None, levers=levers, approach=self.approach_axis)
+            offsets, axes, k, k2, base_rot, self.base_frame.translation, tool_rot,
+            first_moving, static_points=None, levers=levers,
+            approach=self.approach_axis,
+            joint_floats=tuple(map(_floats, offsets[:-1], axes, k, k2)),
+            base_floats=_floats(base_rot, self.base_frame.translation),
+            tool_floats=_floats(offsets[-1], tool_rot),
+            approach_floats=_floats(self.approach_axis),
+            lo=_floats(lo), hi=_floats(hi))
         # the static points are the same at every q, so take them at q = 0
         points = _frames(compiled, np.zeros((1, self.n_joints)))[0][0]
         return compiled._replace(static_points=points[:first_moving + 1])
 
 
 class CompiledChain(NamedTuple):
-    """A chain's constants, stacked per joint for `_frames`. Link i runs from
-    joint origin i to the next point (the tool point for the last link); in
-    joint i's rotated frame it is offsets[i + 1], the link vectors offsets[1:]."""
+    """A chain's constants, stacked per joint for `_frames` and as Python
+    floats for `_one`. Link i runs from joint origin i to the next point
+    (the tool point for the last link); in joint i's rotated frame it is
+    offsets[i + 1], the link vectors offsets[1:]."""
 
     offsets: np.ndarray         # (N+1, 3) joint offsets, then the tool's
     axes: np.ndarray            # (N, 3) unit joint axes, parent frame
@@ -192,6 +204,18 @@ class CompiledChain(NamedTuple):
     static_points: np.ndarray   # (first_moving + 1, 3) their end points
     levers: np.ndarray          # (N,) link lengths from joint i out to the tool
     approach: np.ndarray        # (3,) tool-frame approach axis
+    # the same constants as floats, each matrix by rows
+    joint_floats: tuple         # per joint: offset, axis, K, K^2 (24 floats)
+    base_floats: tuple          # base rotation, then base position (12)
+    tool_floats: tuple          # tool offset, then tool rotation (12)
+    approach_floats: tuple      # (3)
+    lo: tuple                   # (N) joint limits
+    hi: tuple                   # (N)
+
+
+def _floats(*arrays: np.ndarray) -> tuple[float, ...]:
+    """The arrays' entries, each in row order, as one tuple of floats."""
+    return tuple(np.concatenate([np.ravel(a) for a in arrays]).tolist())
 
 
 def _static_link_count(axes: np.ndarray, links: np.ndarray) -> int:
@@ -205,7 +229,7 @@ def _static_link_count(axes: np.ndarray, links: np.ndarray) -> int:
 
 
 def _frames(compiled: CompiledChain, qs: np.ndarray):
-    """The one forward-kinematics kernel. For a (B, N) batch of joint
+    """The batch forward-kinematics kernel. For a (B, N) batch of joint
     vectors it returns the points (B, N+1, 3), joint origins then the tool
     point, the joint axes in the base frame (B, N, 3) and the tool rotations
     (B, 3, 3). The rotation update R <- R (I + sin(q) K + (1-cos(q)) K^2) is
@@ -245,24 +269,88 @@ def _frames(compiled: CompiledChain, qs: np.ndarray):
             flat.dot(compiled.tool_rot).reshape(batch, 3, 3))
 
 
-def _finite_q(chain: KinematicChain, q) -> np.ndarray:
-    """`q` as a batch of one, checked for length and finiteness."""
-    q = chain.check_q(q)
-    if not np.isfinite(q).all():
-        raise ValueError(f"q must be finite, got {q.tolist()}")
-    return q[None]
+def _one(compiled: CompiledChain, q):
+    """`_frames` for one finite configuration, a sequence of floats, on
+    Python floats: the points, joint origins then the tool point, and the
+    base-frame joint axes as lists of (x, y, z) tuples, and the tool
+    rotation as a 9-tuple by rows. It takes `_frames`' steps in its order:
+    each matrix product summed in row order (a product by K, K^2 or the tool
+    rotation from +0, as OpenBLAS's matrix-matrix kernel starts it, which
+    decides the sign of a zero sum), then R += (R K) sin q and
+    R += (R K^2) (1 - cos q). OpenBLAS fuses some of those products into
+    multiply-adds, which round once where `_one` rounds twice. On the
+    shipped arm no fused step rounds differently, so the two kernels agree
+    to the bit, also between base and tool rotations that permute axes; on
+    a chain with oblique axes or offsets they may differ in the last bits."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22, px, py, pz = compiled.base_floats
+    points, axes = [], []
+    for (ox, oy, oz, ax, ay, az, k00, k01, k02, k10, k11, k12, k20, k21, k22,
+         m00, m01, m02, m10, m11, m12, m20, m21, m22), qi in zip(
+            compiled.joint_floats, q):
+        px = px + (r00 * ox + r01 * oy + r02 * oz)
+        py = py + (r10 * ox + r11 * oy + r12 * oz)
+        pz = pz + (r20 * ox + r21 * oy + r22 * oz)
+        points.append((px, py, pz))
+        axes.append((r00 * ax + r01 * ay + r02 * az,
+                     r10 * ax + r11 * ay + r12 * az,
+                     r20 * ax + r21 * ay + r22 * az))
+        s, v = math.sin(qi), 1.0 - math.cos(qi)
+        r00, r01, r02 = (
+            r00 + (0.0 + r00 * k00 + r01 * k10 + r02 * k20) * s
+            + (0.0 + r00 * m00 + r01 * m10 + r02 * m20) * v,
+            r01 + (0.0 + r00 * k01 + r01 * k11 + r02 * k21) * s
+            + (0.0 + r00 * m01 + r01 * m11 + r02 * m21) * v,
+            r02 + (0.0 + r00 * k02 + r01 * k12 + r02 * k22) * s
+            + (0.0 + r00 * m02 + r01 * m12 + r02 * m22) * v)
+        r10, r11, r12 = (
+            r10 + (0.0 + r10 * k00 + r11 * k10 + r12 * k20) * s
+            + (0.0 + r10 * m00 + r11 * m10 + r12 * m20) * v,
+            r11 + (0.0 + r10 * k01 + r11 * k11 + r12 * k21) * s
+            + (0.0 + r10 * m01 + r11 * m11 + r12 * m21) * v,
+            r12 + (0.0 + r10 * k02 + r11 * k12 + r12 * k22) * s
+            + (0.0 + r10 * m02 + r11 * m12 + r12 * m22) * v)
+        r20, r21, r22 = (
+            r20 + (0.0 + r20 * k00 + r21 * k10 + r22 * k20) * s
+            + (0.0 + r20 * m00 + r21 * m10 + r22 * m20) * v,
+            r21 + (0.0 + r20 * k01 + r21 * k11 + r22 * k21) * s
+            + (0.0 + r20 * m01 + r21 * m11 + r22 * m21) * v,
+            r22 + (0.0 + r20 * k02 + r21 * k12 + r22 * k22) * s
+            + (0.0 + r20 * m02 + r21 * m12 + r22 * m22) * v)
+    ox, oy, oz, t00, t01, t02, t10, t11, t12, t20, t21, t22 = compiled.tool_floats
+    points.append((px + (r00 * ox + r01 * oy + r02 * oz),
+                   py + (r10 * ox + r11 * oy + r12 * oz),
+                   pz + (r20 * ox + r21 * oy + r22 * oz)))
+    return points, axes, (
+        0.0 + r00 * t00 + r01 * t10 + r02 * t20,
+        0.0 + r00 * t01 + r01 * t11 + r02 * t21,
+        0.0 + r00 * t02 + r01 * t12 + r02 * t22,
+        0.0 + r10 * t00 + r11 * t10 + r12 * t20,
+        0.0 + r10 * t01 + r11 * t11 + r12 * t21,
+        0.0 + r10 * t02 + r11 * t12 + r12 * t22,
+        0.0 + r20 * t00 + r21 * t10 + r22 * t20,
+        0.0 + r20 * t01 + r21 * t11 + r22 * t21,
+        0.0 + r20 * t02 + r21 * t12 + r22 * t22)
+
+
+def _finite_q(chain: KinematicChain, q) -> list[float]:
+    """`q` as floats, checked for length and finiteness."""
+    values = chain.check_q(q).tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"q must be finite, got {values}")
+    return values
 
 
 def forward_kinematics(chain: KinematicChain, q) -> Pose:
     """Tool pose for the given joint vector (rad), which must be finite."""
-    points, _, tool_rot = _frames(chain.compiled, _finite_q(chain, q))
-    return Pose(position=points[0, -1], orientation=matrix_to_quat(tool_rot[0]))
+    points, _, tool_rot = _one(chain.compiled, _finite_q(chain, q))
+    return Pose(position=np.array(points[-1]),
+                orientation=matrix_to_quat(np.reshape(tool_rot, (3, 3))))
 
 
 def link_points(chain: KinematicChain, q) -> np.ndarray:
     """Polyline approximating the arm body: joint origins then the tool
     point, for a finite joint vector (rad)."""
-    return _frames(chain.compiled, _finite_q(chain, q))[0][0]
+    return np.array(_one(chain.compiled, _finite_q(chain, q))[0])
 
 
 def link_points_batch(chain: KinematicChain, qs: np.ndarray) -> np.ndarray:
@@ -277,25 +365,14 @@ def link_points_batch(chain: KinematicChain, qs: np.ndarray) -> np.ndarray:
     return _frames(chain.compiled, qs)[0]
 
 
-# rows (1, 2, 0) and (2, 0, 1) of a (3, ...) array: a x b is
-# a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT], numpy.cross's own formula and
-# so its bits, without its per-call axis handling
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross products along the first axis of two (3, ...) arrays."""
-    return a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT]
-
-
-def _frames_jacobian(points: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Geometric Jacobian from one configuration's `_frames` output: the
-    (N+1, 3) joint origins and tool point, and the (N, 3) joint axes."""
-    jac = np.empty((6, axes.shape[0]))
-    jac[:3] = _cross(axes.T, (points[-1] - points[:-1]).T)
-    jac[3:] = axes.T
-    return jac
+def _jacobian_columns(points, axes) -> list[tuple[float, ...]]:
+    """The geometric Jacobian's columns from one configuration's `_one`
+    output: (z_i x (p_tool - p_i), z_i), the cross product by components as
+    numpy's `cross` forms it."""
+    px, py, pz = points[-1]
+    return [(ay * (pz - oz) - az * (py - oy), az * (px - ox) - ax * (pz - oz),
+             ax * (py - oy) - ay * (px - ox), ax, ay, az)
+            for (ox, oy, oz), (ax, ay, az) in zip(points, axes)]
 
 
 def jacobian(chain: KinematicChain, q) -> np.ndarray:
@@ -304,8 +381,8 @@ def jacobian(chain: KinematicChain, q) -> np.ndarray:
     Column i for a revolute joint is (z_i x (p_tool - p_i), z_i) expressed
     in the base frame. `q` must be finite.
     """
-    points, axes, _ = _frames(chain.compiled, _finite_q(chain, q))
-    return _frames_jacobian(points[0], axes[0])
+    points, axes, _ = _one(chain.compiled, _finite_q(chain, q))
+    return np.array(_jacobian_columns(points, axes)).T.copy()
 
 
 @dataclass(frozen=True)
@@ -323,23 +400,31 @@ class IkOptions(Checked):
     damping: NonNegative = 0.005
 
 
-def _approach_error(tool_rot: np.ndarray, approach: np.ndarray,
-                    target_axis: np.ndarray) -> np.ndarray:
+def _approach_error(tool_rot, approach, target_axis) -> tuple[float, float, float]:
     """Axis-angle rotation aligning the current approach axis (the chain's
-    tool-frame `approach` turned by `tool_rot`) with the target's.
+    tool-frame `approach` turned by `tool_rot`, a 9-tuple by rows) with the
+    target's, all on floats.
 
     The aligning rotation is perpendicular to both axes, so the roll about
     the approach axis is excluded by construction: this is the projection
     of the orientation error onto the subspace a 5-DOF arm can control.
     """
-    current = tool_rot @ approach
-    cross = _cross(current, target_axis)
-    s = float(np.linalg.norm(cross))
-    angle = math.atan2(s, min(max(float(np.dot(current, target_axis)), -1.0), 1.0))
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = tool_rot
+    a0, a1, a2 = approach
+    t0, t1, t2 = target_axis
+    c0 = r00 * a0 + r01 * a1 + r02 * a2
+    c1 = r10 * a0 + r11 * a1 + r12 * a2
+    c2 = r20 * a0 + r21 * a1 + r22 * a2
+    x0, x1, x2 = c1 * t2 - c2 * t1, c2 * t0 - c0 * t2, c0 * t1 - c1 * t0
+    s = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    angle = math.atan2(s, min(max(c0 * t0 + c1 * t1 + c2 * t2, -1.0), 1.0))
     if s < 1e-12:
         # parallel or antiparallel; antiparallel has no unique axis, pick one
-        return np.zeros(3) if angle < 1e-12 else _any_perpendicular(current) * angle
-    return cross / s * angle
+        if angle < 1e-12:
+            return 0.0, 0.0, 0.0
+        x0, x1, x2 = _any_perpendicular(c0, c1, c2)
+        return x0 * angle, x1 * angle, x2 * angle
+    return x0 / s * angle, x1 / s * angle, x2 / s * angle
 
 
 def target_approach_axis(target: Pose, chain: KinematicChain) -> np.ndarray:
@@ -377,6 +462,14 @@ def _solve(chain: KinematicChain, position, unit_axis: np.ndarray, seed_q,
     residual trace is non-increasing. Converged when the position error is
     below tol_pos and the approach-axis misalignment below tol_rot.
 
+    One configuration at a time, so the loop runs on Python floats (`_one`,
+    sums and `math`), where numpy's per-call overhead would cost more than
+    the arithmetic. At an iterate that has not converged |e| > 0, so
+    lambda > 0 and J^T J + lambda^2 I is symmetric positive definite; the
+    step solves it by Cholesky. Should rounding still leave a pivot that is
+    not positive (lambda^2 lost against J^T J), the iteration ends as when
+    no step shrinks the residual.
+
     Raises ValueError for a non-finite position or seed, and NoConvergence
     carrying the best iterate; an unreachable target is not distinguished
     from slow convergence.
@@ -389,45 +482,85 @@ def _solve(chain: KinematicChain, position, unit_axis: np.ndarray, seed_q,
     if not np.isfinite(seed).all():
         raise ValueError(f"seed_q must be finite, got {seed.tolist()}")
     compiled = chain.compiled
-    lo, hi = chain.limit_arrays()
-    q = np.clip(seed, lo, hi)
+    lo, hi, approach = compiled.lo, compiled.hi, compiled.approach_floats
+    tx, ty, tz = target_pos.tolist()
+    axis = unit_axis.tolist()
 
-    def residual(qv: np.ndarray):
-        points, axes, tool_rot = _frames(compiled, qv[None])
-        err_rot = _approach_error(tool_rot[0], compiled.approach, unit_axis)
-        return (_frames_jacobian(points[0], axes[0]),
-                np.concatenate([target_pos - points[0, -1], err_rot]))
+    def residual(qv):
+        points, axes, tool_rot = _one(compiled, qv)
+        px, py, pz = points[-1]
+        return (_jacobian_columns(points, axes),
+                (tx - px, ty - py, tz - pz,
+                 *_approach_error(tool_rot, approach, axis)))
 
-    jac_cur, err = residual(q)
-    trace = [float(np.linalg.norm(err))]   # trace[-1] is always |err|
-    eye = np.eye(chain.n_joints)
+    q = [min(max(x, a), b) for x, a, b in zip(seed.tolist(), lo, hi)]
+    cols, err = residual(q)
+    trace = [math.hypot(*err)]   # trace[-1] is always |err|
 
     for iteration in range(opts.max_iters + 1):
-        pos_err = float(np.linalg.norm(err[:3]))
-        rot_err = float(np.linalg.norm(err[3:]))
+        pos_err, rot_err = math.hypot(*err[:3]), math.hypot(*err[3:])
         if pos_err < opts.tol_pos and rot_err < opts.tol_rot:
-            return q
+            return np.array(q)
         if iteration == opts.max_iters:
             break
         lam = max(opts.damping, 0.5 * trace[-1])
-        dq = np.linalg.solve(jac_cur.T @ jac_cur + lam * lam * eye,
-                             jac_cur.T @ err)
+        dq = _damped_step(cols, err, lam * lam)
+        if dq is None:
+            break
         step = 1.0
         for _ in range(12):
-            q_new = np.clip(q + step * dq, lo, hi)
-            jac_new, err_new = residual(q_new)
-            norm_new = float(np.linalg.norm(err_new))
+            q_new = [min(max(x + step * d, a), b)
+                     for x, d, a, b in zip(q, dq, lo, hi)]
+            cols_new, err_new = residual(q_new)
+            norm_new = math.hypot(*err_new)
             if norm_new < trace[-1]:
                 break
             step *= 0.5
         else:  # no step shrank the residual
             break
-        q, jac_cur, err = q_new, jac_new, err_new
+        q, cols, err = q_new, cols_new, err_new
         trace.append(norm_new)
-    raise NoConvergence(q, pos_err, rot_err, trace)
+    raise NoConvergence(np.array(q), pos_err, rot_err, trace)
 
 
-def _any_perpendicular(v: np.ndarray) -> np.ndarray:
-    helper = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    perp = _cross(v, helper)
-    return perp / np.linalg.norm(perp)
+def _damped_step(cols, err, mu: float) -> list[float] | None:
+    """dq solving (J^T J + mu I) dq = J^T e, for J's columns `cols` and
+    mu > 0: the matrix's Cholesky factor L (L L^T = J^T J + mu I) row by
+    row, then L y = J^T e and L^T dq = y. None when a pivot is not
+    positive."""
+    e0, e1, e2, e3, e4, e5 = err
+    low, y = [], []   # L's rows, y
+    for a0, a1, a2, a3, a4, a5 in cols:
+        row = []
+        for lj, (b0, b1, b2, b3, b4, b5) in zip(low, cols):
+            v = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4 + a5 * b5
+            for lk, rk in zip(lj, row):
+                v -= rk * lk
+            row.append(v / lj[-1])
+        v = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a5 * a5 + mu
+        r = a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3 + a4 * e4 + a5 * e5
+        for rk, yk in zip(row, y):
+            v -= rk * rk
+            r -= rk * yk
+        if not v > 0.0:
+            return None
+        v = math.sqrt(v)
+        row.append(v)
+        low.append(row)
+        y.append(r / v)
+    dq = []   # from the last joint back
+    for i in range(len(low) - 1, -1, -1):
+        v = y[i]
+        for lk, xk in zip(reversed(low), dq):
+            v -= lk[i] * xk
+        dq.append(v / low[i][i])
+    dq.reverse()
+    return dq
+
+
+def _any_perpendicular(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """A unit vector perpendicular to (x, y, z)."""
+    # (x, y, z) cross (1, 0, 0), or cross (0, 1, 0) when x is large
+    px, py, pz = (0.0, z, -y) if abs(x) < 0.9 else (-z, 0.0, x)
+    n = math.sqrt(px * px + py * py + pz * pz)
+    return px / n, py / n, pz / n

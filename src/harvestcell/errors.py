@@ -102,14 +102,12 @@ class ParseError(HarvestCellError):
 
 class ValidationError(HarvestCellError):
     """An input check that no declared domain makes: a detection file's top
-    level, a keypoint outside the image, a depth frame's size, a target's
-    points and radius. Names the field, and the record index if there is one."""
+    level, a depth frame's size, a target's points and radius. Names the
+    field."""
 
-    def __init__(self, field: str, index=None, message: str = ""):
+    def __init__(self, field: str, message: str):
         self.field = field
-        self.index = index
-        where = f" (record {index})" if index is not None else ""
-        super().__init__(f"invalid field {field!r}{where}: {message}")
+        super().__init__(f"invalid field {field!r}: {message}")
 
 
 class InvalidDepth(HarvestCellError):

@@ -22,6 +22,7 @@ metres (depth_scale 1.0 for this format).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
@@ -31,8 +32,8 @@ import numpy as np
 from .arm import quat_to_matrix
 from .domains import (Checked, Count, Finite, Fraction, Positive, Quaternion,
                       Vec3, load)
-from .errors import (ConfigError, InvalidDepth, LowConfidence, NoRipeTarget,
-                     NoValidDepth, ParseError, ValidationError)
+from .errors import (ConfigError, DomainError, InvalidDepth, LowConfidence,
+                     NoRipeTarget, NoValidDepth, ParseError, ValidationError)
 
 SELECTION_POLICIES = ("ripest-nearest", "highest-score")
 DEPTH_MAGIC = b"DPTH"
@@ -108,15 +109,15 @@ class TargetTomato:
         for name in ("center_3d", "pedicel_3d"):
             point = np.asarray(getattr(self, name), dtype=float)
             if point.shape != (3,) or not np.isfinite(point).all():
-                raise ValidationError(name, None, "must be a finite 3-vector")
+                raise ValidationError(name, "must be a finite 3-vector")
             points.append(point)
         if not self.estimated_radius > 0.0:
-            raise ValidationError("estimated_radius", None, "must be > 0")
+            raise ValidationError("estimated_radius", "must be > 0")
         center, pedicel = points
         # np.allclose(center, pedicel) for finite points, without its
         # special cases for inf and NaN
         if np.all(abs(center - pedicel) <= 1e-8 + 1e-5 * abs(pedicel)):
-            raise ValidationError("pedicel_3d", None,
+            raise ValidationError("pedicel_3d",
                                   "pedicel coincides with the tomato center")
 
 
@@ -126,9 +127,11 @@ def load_detections(path, image_size: tuple[int, int] | None = None
 
     image_size, when given as (width, height), additionally rejects a
     keypoint whose pixel, the one `sample_depth` reads, lies outside the
-    image. Raises ParseError for malformed JSON, ConfigError for a
-    record outside its schema, and ValidationError for a top level that is
-    not an array or a keypoint outside the image.
+    image. Raises ParseError for malformed JSON, ValidationError for a top
+    level that is not an array, and ConfigError for a record outside its
+    schema, a keypoint outside the image included (a DomainError named by
+    its key path: `'[0].keypoints.center' must be inside the 1280x720
+    image, got (1640.0, 360.0)`).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -139,7 +142,7 @@ def load_detections(path, image_size: tuple[int, int] | None = None
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, list):
-        raise ValidationError("root", None, "top level must be a JSON array")
+        raise ValidationError("root", "top level must be a JSON array")
     records = []
     for i, raw in enumerate(data):
         record = load(DetectionRecord, raw, f"[{i}]")
@@ -148,8 +151,9 @@ def load_detections(path, image_size: tuple[int, int] | None = None
             for name in ("center", "pedicel"):
                 u, v, _ = getattr(record, name)
                 if _pixel(u, v, width, height) is None:
-                    raise ValidationError(f"keypoints.{name}", i, f"({u}, {v}) "
-                                          f"outside {width}x{height} image")
+                    raise DomainError(f"[{i}].keypoints.{name}",
+                                      f"inside the {width}x{height} image",
+                                      f"({u}, {v})")
         records.append(record)
     return records
 
@@ -233,10 +237,12 @@ def camera_to_base(cam: CameraModel, p_cam) -> np.ndarray:
 def _pixel(u: float, v: float, width: int, height: int) -> tuple[int, int] | None:
     """The (column, row) of a width x height image that a keypoint at (u, v)
     is sampled at, each coordinate rounded to the nearest integer (halves
-    to even, as Python's `round`), or None when that pixel lies outside the
-    image. The loader's bounds check and `sample_depth` share this rule: for
-    an even width, u is inside when it lies in [-0.5, width - 0.5), and
-    likewise v for the height."""
+    to even, as Python's `round`), or None when a coordinate is not finite
+    or that pixel lies outside the image. The loader's bounds check and
+    `sample_depth` share this rule: for an even width, u is inside when it
+    lies in [-0.5, width - 0.5), and likewise v for the height."""
+    if not (math.isfinite(u) and math.isfinite(v)):
+        return None
     col, row = round(u), round(v)
     return (col, row) if 0 <= col < width and 0 <= row < height else None
 
@@ -305,7 +311,7 @@ def select_target(records: list[DetectionRecord], cam: CameraModel,
     shape = np.shape(depth_frame)
     if shape != (cam.height, cam.width):
         size = "x".join(str(d) for d in shape[::-1])
-        raise ValidationError("depth_frame", None,
+        raise ValidationError("depth_frame",
                               f"{size} frame does not match the "
                               f"{cam.width}x{cam.height} camera image")
     candidates: list[tuple[float, int, TargetTomato]] = []

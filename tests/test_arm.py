@@ -1,10 +1,11 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from harvestcell.arm import (IkOptions, Joint, KinematicChain, Pose,
-                             RigidTransform, _frames, forward_kinematics,
+                             RigidTransform, _frames, _one, forward_kinematics,
                              inverse_kinematics, jacobian, link_points,
                              link_points_batch, matrix_to_quat, quat_to_matrix,
                              solve_ik_point, target_approach_axis)
@@ -183,6 +184,151 @@ def test_link_points_batch_matches_scalar(run_config):
                               link_points(chain, q)[-1])
 
 
+def _rotated_chain(chain, oblique=False):
+    """`chain`'s joints between a base turned a third of a turn about
+    (1, 1, 1) and a tool turned half a turn about z. Both rotation matrices
+    permute axes, so every product that OpenBLAS fuses into a multiply-add
+    stays exact. With `oblique`, every joint axis and offset is tilted off
+    the frame axes instead, and that no longer holds."""
+    joints = chain.joints
+    if oblique:
+        rng = np.random.default_rng(41)
+        joints = tuple(Joint(axis=j.axis + rng.normal(0.0, 0.3, 3),
+                             offset=j.offset + rng.normal(0.0, 0.05, 3),
+                             limits=j.limits) for j in joints)
+    return KinematicChain(
+        joints=joints,
+        base_frame=RigidTransform(translation=np.array([0.1, -0.2, 0.3]),
+                                  quaternion=np.array([0.5, 0.5, 0.5, 0.5])),
+        tool_offset=RigidTransform(translation=np.array([0.0, 0.0, 0.12]),
+                                   quaternion=np.array([0.0, 0.0, 1.0, 0.0])))
+
+
+def _kernel_pairs(chain, rng):
+    """(`_one`, `_frames`) outputs, points, axes then tool rotation, at
+    random in-limit configurations and at ones made of 0, -0, 1, pi/2 and
+    3.14, where products and sums of exact zeros decide signs."""
+    lo, hi = chain.limit_arrays()
+    qs = np.concatenate([rng.uniform(lo, hi, (400, chain.n_joints)),
+                         rng.choice([0.0, -0.0, 1.0, np.pi / 2, 3.14],
+                                    (200, chain.n_joints))])
+    for q in qs:
+        points, axes, tool_rot = _one(chain.compiled, q.tolist())
+        ref = _frames(chain.compiled, q[None])
+        yield from zip((np.array(points), np.array(axes),
+                        np.reshape(tool_rot, (3, 3))), (out[0] for out in ref))
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["shipped", "rotated"])
+def test_one_equals_frames_bit_for_bit(run_config, rotated):
+    chain = _rotated_chain(run_config.arm) if rotated else run_config.arm
+    for got, want in _kernel_pairs(chain, np.random.default_rng(31)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_one_equals_frames_to_rounding_on_an_oblique_chain(run_config):
+    # OpenBLAS's fused multiply-adds round once where `_one` rounds twice
+    chain = _rotated_chain(run_config.arm, oblique=True)
+    for got, want in _kernel_pairs(chain, np.random.default_rng(37)):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def _numpy_solve(chain, position, unit_axis, seed, opts=IkOptions()):
+    """`arm._solve`'s damped-least-squares loop on numpy arrays: `_frames`
+    for the residual, np.cross, np.linalg.norm, np.linalg.solve (LAPACK's
+    LU) and np.clip. The answer, or None where the loop ends without
+    converging."""
+    compiled = chain.compiled
+    lo, hi = chain.limit_arrays()
+
+    def residual(q):
+        points, axes, tool_rot = (out[0] for out in _frames(compiled, q[None]))
+        current = tool_rot @ compiled.approach
+        cross = np.cross(current, unit_axis)
+        s = np.linalg.norm(cross)
+        angle = math.atan2(s, min(max(float(current @ unit_axis), -1.0), 1.0))
+        assert s >= 1e-12 or angle < 1e-12  # no antiparallel axes here
+        err_rot = np.zeros(3) if s < 1e-12 else cross / s * angle
+        jac = np.vstack([np.cross(axes, points[-1] - points[:-1]).T, axes.T])
+        return jac, np.concatenate([position - points[-1], err_rot])
+
+    q = np.clip(seed, lo, hi)
+    jac, err = residual(q)
+    trace = [np.linalg.norm(err)]
+    for iteration in range(opts.max_iters + 1):
+        if (np.linalg.norm(err[:3]) < opts.tol_pos
+                and np.linalg.norm(err[3:]) < opts.tol_rot):
+            return q
+        if iteration == opts.max_iters:
+            return None
+        lam = max(opts.damping, 0.5 * trace[-1])
+        dq = np.linalg.solve(jac.T @ jac + lam * lam * np.eye(q.size),
+                             jac.T @ err)
+        for step in 0.5 ** np.arange(12.0):
+            q_new = np.clip(q + step * dq, lo, hi)
+            jac_new, err_new = residual(q_new)
+            if np.linalg.norm(err_new) < trace[-1]:
+                break
+        else:
+            return None
+        q, jac, err = q_new, jac_new, err_new
+        trace.append(np.linalg.norm(err))
+
+
+def test_float_loop_matches_the_numpy_loop_on_criterion_05(run_config):
+    # the criterion-05 sample: the same convergence status for every round
+    # trip, and answers that differ only by rounding (BLAS dot products and
+    # LAPACK's LU against float sums and a Cholesky solve)
+    chain = run_config.arm
+    lo, hi = chain.limit_arrays()
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        q0 = rng.uniform(lo, hi)
+        pose = forward_kinematics(chain, q0)
+        seed = np.clip(q0 + rng.normal(0.0, 0.1, chain.n_joints), lo, hi)
+        want = _numpy_solve(chain, pose.position,
+                            target_approach_axis(pose, chain), seed)
+        try:
+            got = inverse_kinematics(chain, pose, seed)
+        except NoConvergence:
+            got = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("opts", [
+    pytest.param(IkOptions(damping=0.0), id="default-tolerances"),
+    # tolerances no float residual reaches: near the answer lambda^2 is
+    # lost in rounding against J^T J, whose smallest eigenvalue is ~0 here
+    pytest.param(IkOptions(damping=0.0, tol_pos=1e-300, tol_rot=1e-300),
+                 id="unreachable-tolerances"),
+])
+def test_undamped_solve_at_a_straight_arm_ends_cleanly(run_config, opts):
+    # elbow straight: the upper arm (0.25, 0, 0) turned along the shoulder
+    # link (0.05, 0, 0.25), where J loses rank; a round trip from nearby
+    # seeds ends in an answer or NoConvergence, never in an error from the
+    # Cholesky solve
+    chain = run_config.arm
+    q_straight = np.array([0.0, 0.0, -math.atan2(0.25, 0.05), 0.0, 0.0])
+    assert np.linalg.svd(jacobian(chain, q_straight), compute_uv=False)[-1] < 1e-12
+    pose = forward_kinematics(chain, q_straight)
+    rng = np.random.default_rng(43)
+    outcomes = set()
+    for _ in range(20):
+        seed = q_straight + rng.normal(0.0, 0.05, chain.n_joints)
+        try:
+            result = inverse_kinematics(chain, pose, seed, opts)
+        except NoConvergence as exc:
+            outcomes.add("no-convergence")
+            assert np.all(np.isfinite(exc.best_q))
+        else:
+            outcomes.add("answer")
+            check = forward_kinematics(chain, result)
+            assert np.linalg.norm(check.position - pose.position) < opts.tol_pos
+    assert outcomes == ({"answer"} if opts.tol_pos == 1e-6 else {"no-convergence"})
+
+
 def test_ik_fixed_point(run_config):
     chain = run_config.arm
     q0 = chain.home_q
@@ -211,9 +357,25 @@ def test_ik_unreachable_reports_no_convergence(run_config):
         inverse_kinematics(chain, target, chain.home_q)
     err = exc_info.value
     trace = np.asarray(err.residual_trace)
-    assert np.all(np.diff(trace) <= 0.0)
+    # a step is taken only when it shrinks the residual
+    assert np.all(np.diff(trace) < 0.0)
     lo, hi = chain.limit_arrays()
     assert np.all(err.best_q >= lo) and np.all(err.best_q <= hi)
+
+
+def test_ik_takes_no_step_the_joint_limit_clips_away():
+    # the target lies past the joint's upper limit and the seed sits on it:
+    # every step clips back to the seed, which leaves the residual as it
+    # is, so none is taken
+    chain = KinematicChain(
+        joints=(Joint(axis=np.array([0.0, 0.0, 1.0]), offset=np.zeros(3),
+                      limits=(0.0, 0.5)),),
+        tool_offset=RigidTransform(translation=np.array([1.0, 0.0, 0.0])))
+    target = forward_kinematics(chain, [1.0])
+    with pytest.raises(NoConvergence) as exc_info:
+        inverse_kinematics(chain, target, [0.5])
+    assert len(exc_info.value.residual_trace) == 1
+    assert exc_info.value.best_q.tolist() == [0.5]
 
 
 def test_ik_round_trip_sample(run_config):
@@ -292,6 +454,10 @@ def test_ik_answers_bytes_pinned(run_config, harvest_target):
     # around the shipped tomato cluster (every 8th moved out of reach), with
     # the best iterate, residuals and trace of every NoConvergence; a change
     # that claims the same answers faster must keep it (numpy 2.x, x86-64).
+    # Taken when the loop moved onto Python floats: its float sums and
+    # Cholesky solve round differently from the BLAS products and LAPACK
+    # solve before it, so the answers moved by about 1e-14 rad and every
+    # solve kept its convergence status.
     chain = run_config.arm
     lo, hi = chain.limit_arrays()
     rng = np.random.default_rng(29)
@@ -322,7 +488,7 @@ def test_ik_answers_bytes_pinned(run_config, harvest_target):
                     exc.residual_trace]).tobytes())
     assert failures == 5
     assert digest.hexdigest() == (
-        "cca74d3c548506097d11aad00b6127213994ebf59d04e151c9fa7210d4637bb0")
+        "6ad1dad92df969809715f26d71855e83b4331817d91cea2797bc7aff3eb57b76")
 
 
 @pytest.mark.parametrize("field, value", [

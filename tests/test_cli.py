@@ -497,6 +497,24 @@ def test_pick_stats_depth_frame_of_another_size(tmp_path, detection_fixture,
     assert "4x4 frame does not match the 1280x720" in _assert_one_line_error(capsys)
 
 
+def test_pick_stats_keypoint_outside_the_image(tmp_path, detection_fixture,
+                                               capsys):
+    _, depth = detection_fixture
+    det = tmp_path / "outside.json"
+    det.write_text(json.dumps([{
+        "class": "ripe", "score": 0.9, "bbox": [600, 300, 700, 400],
+        "keypoints": {"center": [1640.0, 360.0, 0.9], "pedicel": [650, 320, 0.9]},
+    }]))
+    out = tmp_path / "stats.json"
+    code = cli.main(["--quiet", "--out", str(out), "pick-stats",
+                     "--detections", str(det), "--depth", str(depth)])
+    assert code == 1
+    assert not out.exists()
+    assert _assert_one_line_error(capsys) == (
+        "harvestcell: '[0].keypoints.center' must be inside the 1280x720 image, "
+        "got (1640.0, 360.0)\n")
+
+
 def test_pick_stats_parse_error(tmp_path, detection_fixture):
     _, depth = detection_fixture
     det = tmp_path / "bad.json"
@@ -562,8 +580,8 @@ def test_help_lists_subcommands(capsys):
         assert flag in out
 
 
-# --- fuzzed detection and depth files: the loaders raise only ParseError or
-# ValidationError, and pick-stats turns a rejected file into exit 1 with one
+# --- fuzzed detection and depth files: the loaders raise only ParseError,
+# ValidationError or ConfigError, and pick-stats turns a rejected file into exit 1 with one
 # stderr line and no output file
 
 _VALID_RECORD = {

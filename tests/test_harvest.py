@@ -368,9 +368,11 @@ def test_calibrate_noise_checks_arguments_before_planning(
 
 def test_plan_cycle_bytes_pinned(harvest_plans):
     # SHA-256 of the shipped target's cycle plans (IK answers, both plans'
-    # waypoints and fitness) at the shipped PSO seed, taken when each swarm
-    # first stopped once its feasible best stagnated (approach after 57
-    # iterations, depart after 69) (numpy 2.x, x86-64)
+    # waypoints and fitness) at the shipped PSO seed, as each swarm stops
+    # once its feasible best stagnated (approach after 57 iterations, depart
+    # after 69) (numpy 2.x, x86-64). Taken when IK moved onto Python floats:
+    # the IK answers moved by rounding (under 1e-15 rad) and the plans
+    # between them with them, at the same stop iterations.
     digest = hashlib.sha256()
     for array in (harvest_plans.q_pregrasp, harvest_plans.q_grasp,
                   harvest_plans.q_punnet,
@@ -381,7 +383,7 @@ def test_plan_cycle_bytes_pinned(harvest_plans):
                        harvest_plans.depart_trajectory):
         digest.update(np.float64(trajectory.fitness).tobytes())
     assert digest.hexdigest() == (
-        "8296782f6f70244d74705c6c9b5d3983274bf60dd70afb4e5332c2eed3074301")
+        "90e16a833a7112211f70e38e41ad3ba85d388b6ee1f1bb7a4a34c9908c0a7be1")
 
 
 def _failing_ik(monkeypatch, fails):

@@ -86,7 +86,8 @@ def test_load_bounds_check_with_image_size(tmp_path):
     rec["keypoints"]["center"] = [900.0, 150.0, 0.9]
     path = _write(tmp_path, [rec])
     assert len(load_detections(path)) == 1  # no bounds without image size
-    with pytest.raises(ValidationError, match="keypoints.center"):
+    with pytest.raises(DomainError, match=r"^'\[0\]\.keypoints\.center' must be "
+                       r"inside the 640x480 image, got \(900\.0, 150\.0\)$"):
         load_detections(path, image_size=(640, 480))
 
 
@@ -96,8 +97,8 @@ def test_load_rejects_a_keypoint_that_rounds_past_the_image(tmp_path, u):
     rec = _record(bbox=[1200.0, 100.0, 1279.0, 200.0])
     rec["keypoints"]["center"] = [u, 150.0, 0.9]
     path = _write(tmp_path, [rec])
-    with pytest.raises(ValidationError,
-                       match=r"keypoints\.center.*outside 1280x720 image"):
+    with pytest.raises(DomainError, match=r"^'\[0\]\.keypoints\.center' must be "
+                       r"inside the 1280x720 image"):
         load_detections(path, image_size=(1280, 720))
 
 
@@ -301,6 +302,16 @@ def test_sample_depth_no_valid(tmp_path):
     frame = np.zeros((5, 5), dtype=np.float32)
     with pytest.raises(NoValidDepth):
         sample_depth(frame, 2, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("coordinate", ["u", "v"])
+def test_sample_depth_rejects_a_non_finite_keypoint(coordinate, bad):
+    # round() would raise ValueError for NaN and OverflowError for inf
+    frame = np.full((20, 20), 0.5)
+    u, v = (bad, 10.0) if coordinate == "u" else (10.0, bad)
+    with pytest.raises(NoValidDepth, match="outside 20x20 frame"):
+        sample_depth(frame, u, v)
 
 
 def test_depth_frame_io_round_trip(tmp_path):
